@@ -61,22 +61,6 @@ ScenarioBuilder& ScenarioBuilder::block(double interval_s, std::uint64_t bytes) 
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::ledger_mode(runner::LedgerMode m) {
-  scenario_.ledger_mode = m;
-  bad_ledger_mode_.clear();
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::ledger_mode(std::string_view name) {
-  if (const auto m = runner::parse_ledger_mode(name)) {
-    scenario_.ledger_mode = *m;
-    bad_ledger_mode_.clear();
-  } else {
-    bad_ledger_mode_ = std::string(name);
-  }
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::committee(std::uint32_t k) {
   scenario_.hashchain_committee = k;
   return *this;
@@ -185,11 +169,6 @@ runner::Scenario ScenarioBuilder::build() const {
     throw std::invalid_argument("invalid scenario:\n  - unknown algorithm '" +
                                 bad_algorithm_ +
                                 "' (expected vanilla, compresschain, or hashchain)");
-  }
-  if (!bad_ledger_mode_.empty()) {
-    throw std::invalid_argument("invalid scenario:\n  - unknown ledger mode '" +
-                                bad_ledger_mode_ +
-                                "' (expected sequencer or consensus)");
   }
   return runner::throw_if_invalid(scenario_);
 }

@@ -50,13 +50,6 @@ class ScenarioBuilder {
   ScenarioBuilder& horizon_seconds(double s);
   /// Ledger pacing: proposal interval and maximum block payload bytes.
   ScenarioBuilder& block(double interval_s, std::uint64_t bytes);
-  /// Live-deployment ordering mode: a fixed sequencer (fast, no fail-over)
-  /// or wire-level consensus (any f crashed nodes tolerated). The DES
-  /// Experiment path models its own ledger and ignores this knob.
-  ScenarioBuilder& ledger_mode(runner::LedgerMode m);
-  /// By name ("sequencer" / "consensus", case-insensitive); unknown names
-  /// surface as a build() error.
-  ScenarioBuilder& ledger_mode(std::string_view name);
   /// Hashchain signer committee size (0 = every server co-signs, the
   /// paper's evaluated variant). Values below f+1 are clamped up to f+1 —
   /// consolidation requires f+1 signatures. Larger than n is rejected.
@@ -138,8 +131,7 @@ class ScenarioBuilder {
 
  private:
   runner::Scenario scenario_;
-  std::string bad_algorithm_;    ///< unparseable algorithm name, reported at build()
-  std::string bad_ledger_mode_;  ///< unparseable ledger mode, reported at build()
+  std::string bad_algorithm_;  ///< unparseable algorithm name, reported at build()
 };
 
 }  // namespace setchain::api

@@ -1,0 +1,149 @@
+#pragma once
+
+#include <deque>
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "codec/byte_io.hpp"
+#include "crypto/sha256.hpp"
+#include "ledger/transaction.hpp"
+#include "net/transport.hpp"
+#include "net/wire_ledger.hpp"
+#include "sim/simulation.hpp"
+
+namespace setchain::net {
+
+/// The paper's block size: both live ledgers seal at most this many tx
+/// bytes into one block. Well under half the frame cap, so a block always
+/// fits one broadcast frame and rides alone in a kBlockSyncResponse.
+inline constexpr std::uint64_t kMaxBlockBytes = 500'000;
+static_assert(kMaxBlockBytes <= wire::kMaxPayloadBytes / 2);
+
+/// Content hash of one ledger transaction — SHA-256 over (kind byte ‖ data),
+/// the dedup key of both live ledger modes: the origin resends a pending tx
+/// until this key appears in a committed block, and receivers drop submits
+/// whose key they already hold, so retries are always safe.
+inline std::string tx_dedup_key(const ledger::Transaction& tx) {
+  crypto::Sha256 h;
+  const std::uint8_t kind = static_cast<std::uint8_t>(tx.kind);
+  h.update(codec::ByteView(&kind, 1));
+  h.update(tx.data);
+  const auto d = h.finalize();
+  return std::string(reinterpret_cast<const char*>(d.data()), d.size());
+}
+
+struct CommittedChainConfig {
+  std::uint32_t n = 4;
+  std::uint32_t self = 0;
+  /// Peers an own submission is sent (and retransmitted) to.
+  std::vector<EndpointId> submit_to;
+  /// Catch-up cadence: ask the next peer in rotation for blocks above our
+  /// height this often. Heals frames lost on dropped connections and lets
+  /// late-starting nodes join mid-stream.
+  sim::Time sync_interval = sim::from_millis(400);
+  /// Base backoff for retransmitting own submissions (doubles per attempt,
+  /// capped at 8x) until they appear in a committed block.
+  sim::Time retry_interval = sim::from_millis(400);
+};
+
+/// The committed half of a live block ledger, shared by both ordering
+/// policies (ReplicatedLedger's sequencer, ConsensusLedger's rounds). The
+/// policy decides WHAT commits; this class decides how a committed block
+/// lands and how it is shared afterwards:
+///
+///  * commit(): one already-validated block at height()+1, given as
+///    (height, proposer, txs, exact payload bytes). Duplicate content keys
+///    are skipped, the rest join the TxTable, the block and its payload are
+///    stored, then the commit hook (WAL) and the application callback fire,
+///    in that order.
+///  * Sync: every node pulls blocks above its height from a rotating peer
+///    and serves pulls from the stored payload bytes, verbatim.
+///  * Own submissions: sent to `submit_to` and retransmitted with capped
+///    backoff until their key commits.
+///  * Snapshot state prefix (docs/STORAGE_FORMAT.md): version, height,
+///    submission ordinal, tx count, committed content keys.
+///
+/// Heights <= base (a restored snapshot's height) are compacted away: no
+/// block or payload storage, and sync cannot be served below them.
+class CommittedChain {
+ public:
+  using CommitHook = IWireLedger::CommitHook;
+  using AppCallback = std::function<void(const ledger::Block&)>;
+
+  CommittedChain(CommittedChainConfig cfg, sim::Simulation& timers,
+                 ITransport& transport);
+
+  /// Arm the sync pull and the submission retransmit timers.
+  void start();
+
+  std::uint64_t height() const { return height_; }
+  const ledger::TxTable& txs() const { return table_; }
+  bool committed(const std::string& key) const { return keys_.contains(key); }
+  /// The local submission ordinal IBlockLedger::append returns.
+  ledger::TxIdx next_ordinal() { return static_cast<ledger::TxIdx>(appended_++); }
+
+  void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
+  void set_app_callback(AppCallback cb) { app_cb_ = std::move(cb); }
+
+  /// Send `tx` (content key `key`) to every submit peer and keep resending
+  /// it until the key commits.
+  void submit(std::string key, const ledger::Transaction& tx);
+
+  /// Apply the committed block at height()+1. `raw` is its durable payload:
+  /// what the commit hook logs and sync serves. Returns the stored copy.
+  codec::ByteView commit(std::uint64_t height, std::uint32_t proposer,
+                         std::vector<ledger::Transaction>&& txs, codec::Bytes raw);
+
+  /// Stored payloads from `from_height` up, as many as one sync response
+  /// carries; empty when none of them is held.
+  std::vector<codec::ByteView> sync_blocks(std::uint64_t from_height) const;
+  /// Answer a kBlockSyncRequest with sync_blocks(from_height), if any.
+  void serve_sync(EndpointId to, std::uint64_t from_height);
+
+  /// Snapshot state prefix, led by the caller's format `version` byte.
+  void serialize_state(codec::Writer& w, std::uint8_t version) const;
+  /// Inverse onto a fresh chain; false on malformed input or a version
+  /// other than `version`. Leaves base == height == the snapshot height.
+  bool restore_state(codec::Reader& r, std::uint8_t version);
+
+ private:
+  /// One own submission not yet seen in a committed block.
+  struct OwnSubmit {
+    ledger::Transaction tx;
+    std::uint32_t attempt = 0;
+    sim::Time next_send = 0;
+  };
+
+  void send_submit(const ledger::Transaction& tx);
+  void sync_tick();
+  void retry_tick();
+
+  CommittedChainConfig cfg_;
+  sim::Simulation& timers_;
+  ITransport& transport_;
+  sim::Time retry_tick_;
+
+  ledger::TxTable table_;
+  /// blocks_[h-1-base_] / raw_[h-1-base_] is height h. A deque keeps block
+  /// references stable for the deferred work the servers schedule on them.
+  std::deque<ledger::Block> blocks_;
+  std::deque<codec::Bytes> raw_;
+  /// Content keys of every committed tx. Persisted in snapshots: after a
+  /// restart the WAL-gap replay re-publishes proofs it re-derives, and
+  /// deterministic signatures make those re-appends byte-identical — the
+  /// policies drop them against this set instead of re-committing them.
+  std::unordered_set<std::string> keys_;
+  std::unordered_map<std::string, OwnSubmit> own_;
+  CommitHook commit_hook_;
+  AppCallback app_cb_;
+
+  std::uint64_t height_ = 0;
+  std::uint64_t base_ = 0;
+  std::uint64_t appended_ = 0;
+  std::uint32_t sync_cursor_ = 0;
+};
+
+}  // namespace setchain::net

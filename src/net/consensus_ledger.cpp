@@ -1,6 +1,7 @@
 #include "net/consensus_ledger.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "crypto/sha256.hpp"
@@ -25,14 +26,29 @@ codec::Bytes evidence_prefix(codec::ByteView b) {
   const std::size_t n = std::min(b.size(), kEvidencePrefixBytes);
   return codec::Bytes(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(n));
 }
+
+CommittedChainConfig chain_config(const ConsensusLedgerConfig& cfg) {
+  CommittedChainConfig c;
+  c.n = cfg.n;
+  c.self = cfg.self;
+  // Gossip own submissions to every peer: any of them may end up proposing
+  // the block they commit in.
+  for (std::uint32_t peer = 0; peer < cfg.n; ++peer) {
+    if (peer != cfg.self) c.submit_to.push_back(peer);
+  }
+  c.sync_interval = cfg.sync_interval;
+  c.retry_interval = cfg.retry_interval;
+  return c;
+}
 }  // namespace
 
 ConsensusLedger::ConsensusLedger(ConsensusLedgerConfig cfg, sim::Simulation& timers,
                                  ITransport& transport)
-    : cfg_(cfg), timers_(timers), transport_(transport) {
-  // Same single-frame invariant as the sequencer ledger: a proposal must fit
-  // a kProposal broadcast and ride alone in a kBlockSyncResponse.
-  cfg_.max_block_bytes = std::min(cfg_.max_block_bytes, wire::kMaxPayloadBytes / 2);
+    : cfg_(cfg),
+      timers_(timers),
+      transport_(transport),
+      chain_(chain_config(cfg), timers, transport) {
+  assert(cfg_.pki != nullptr && "ConsensusLedger needs the cluster PKI");
   // One recurring tick drives proposing, deadlines and retransmission; keep
   // it a few times finer than the shortest timer it serves.
   tick_interval_ = std::max<sim::Time>(
@@ -51,7 +67,7 @@ void ConsensusLedger::start() {
   round_deadline_ = now + cfg_.timeout_propose;
   retry_at_ = now + cfg_.retry_interval;
   timers_.schedule_in(tick_interval_, [this] { tick(); });
-  timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
+  chain_.start();
 }
 
 std::uint32_t ConsensusLedger::masked_count() const {
@@ -77,21 +93,18 @@ void ConsensusLedger::broadcast_split(wire::MsgType type, codec::ByteView even,
 
 crypto::Ed25519::Signature ConsensusLedger::sign_proposal(
     codec::ByteView block_bytes) const {
-  if (!cfg_.pki) return {};
   return cfg_.pki->sign(cfg_.self,
                         wire::proposal_transcript(cfg_.cluster, block_bytes));
 }
 
 crypto::Ed25519::Signature ConsensusLedger::sign_vote(wire::MsgType type,
                                                       const wire::VoteMsg& m) const {
-  if (!cfg_.pki) return {};
   return cfg_.pki->sign(
       cfg_.self, wire::vote_transcript(cfg_.cluster, type, m.height, m.round, m.hash));
 }
 
 crypto::Ed25519::Signature ConsensusLedger::sign_skip(
     const wire::RoundSkipMsg& m) const {
-  if (!cfg_.pki) return {};
   return cfg_.pki->sign(cfg_.self,
                         wire::round_skip_transcript(cfg_.cluster, m.height, m.round));
 }
@@ -104,16 +117,10 @@ void ConsensusLedger::note_work() {
 
 ledger::TxIdx ConsensusLedger::append(sim::NodeId origin, ledger::Transaction tx) {
   (void)origin;  // every tx of this node funnels through its own transport
-  const auto ordinal = static_cast<ledger::TxIdx>(appended_++);
+  const ledger::TxIdx ordinal = chain_.next_ordinal();
   std::string key = tx_dedup_key(tx);
-  if (committed_keys_.count(key) || mempool_keys_.count(key)) return ordinal;
-  // Gossip to every peer: any of them may end up proposing the block this
-  // tx commits in. Rebroadcast with capped backoff until committed.
-  broadcast(wire::MsgType::kTxSubmit, wire::encode_tx_submit(tx));
-  auto& own = own_pending_[key];
-  own.tx = tx;
-  own.attempt = 0;
-  own.next_send = timers_.now() + cfg_.retry_interval;
+  if (chain_.committed(key) || mempool_keys_.count(key)) return ordinal;
+  chain_.submit(key, tx);  // gossiped to every peer until committed
   mempool_keys_.insert(key);
   mempool_.push_back(MempoolEntry{std::move(key), std::move(tx)});
   note_work();
@@ -123,14 +130,14 @@ ledger::TxIdx ConsensusLedger::append(sim::NodeId origin, ledger::Transaction tx
 void ConsensusLedger::on_new_block(sim::NodeId node,
                                    std::function<void(const ledger::Block&)> cb) {
   (void)node;  // one node per process: only the local callback exists
-  app_cb_ = std::move(cb);
+  chain_.set_app_callback(std::move(cb));
 }
 
 void ConsensusLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
   (void)from;
   std::string key = tx_dedup_key(m.tx);
   // Dedup against history AND mempool: peers retransmit until committed.
-  if (committed_keys_.count(key) || mempool_keys_.count(key)) return;
+  if (chain_.committed(key) || mempool_keys_.count(key)) return;
   mempool_keys_.insert(key);
   mempool_.push_back(MempoolEntry{std::move(key), std::move(m.tx)});
   note_work();
@@ -156,9 +163,8 @@ bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {
   // The proposer signature binds the payload to its scheduled author. An
   // invalid signature blames the SENDER: honest holders verified the frame
   // before relaying it, so whoever handed us a forgery authored the forgery.
-  if (cfg_.pki && !cfg_.pki->verify(
-                      proposer, wire::proposal_transcript(cfg_.cluster, v->block_bytes),
-                      v->sig)) {
+  if (!cfg_.pki->verify(
+          proposer, wire::proposal_transcript(cfg_.cluster, v->block_bytes), v->sig)) {
     return false;
   }
 
@@ -274,11 +280,6 @@ bool ConsensusLedger::on_round_skip(EndpointId from, const wire::RoundSkipMsg& m
 }
 
 void ConsensusLedger::enqueue_verify(wire::MsgType type, const wire::VoteMsg& m) {
-  if (!cfg_.pki) {
-    // Bare harnesses without keys keep the old synchronous semantics.
-    apply_vote(type, m, true);
-    return;
-  }
   PendingVote pv;
   pv.type = type;
   pv.vote = m;
@@ -422,7 +423,7 @@ void ConsensusLedger::tick() {
 
   const sim::Time now = timers_.now();
 
-  if (cfg_.byz.forge_votes && !forged_this_height_ && work_seen_) {
+  if (cfg_.byzantine && !forged_this_height_ && work_seen_) {
     // Byzantine: one impersonated vote (author != transport sender — every
     // receiver rejects the frame outright) and one vote with a garbage
     // signature (passes the identity gate, dies in batch verification).
@@ -450,15 +451,6 @@ void ConsensusLedger::tick() {
     broadcast(wire::MsgType::kRoundSkip, wire::encode_round_skip(m));
     round_deadline_ = now + cfg_.timeout_propose;
     maybe_advance_round();
-  }
-
-  // Own submissions: per-entry capped backoff, independent of consensus
-  // retransmission (a lost kTxSubmit must not wait behind a quiet height).
-  for (auto& [key, e] : own_pending_) {
-    if (e.next_send > now) continue;
-    broadcast(wire::MsgType::kTxSubmit, wire::encode_tx_submit(e.tx));
-    e.attempt = std::min<std::uint32_t>(e.attempt + 1, 3);
-    e.next_send = now + cfg_.retry_interval * (sim::Time{1} << e.attempt);
   }
 
   if (now >= retry_at_) {
@@ -491,7 +483,7 @@ void ConsensusLedger::maybe_propose() {
 }
 
 void ConsensusLedger::seal_and_broadcast_fresh() {
-  // Pack up to max_block_bytes of mempool txs in arrival order. The txs
+  // Pack up to kMaxBlockBytes of mempool txs in arrival order. The txs
   // STAY in the mempool until committed — the proposal may lose its round.
   std::vector<const ledger::Transaction*> block_txs;
   wire::BlockMsg block;
@@ -500,7 +492,7 @@ void ConsensusLedger::seal_and_broadcast_fresh() {
   std::uint64_t bytes = 0;
   for (const auto& entry : mempool_) {
     const std::uint64_t size = entry.tx.wire_size;
-    if (!block_txs.empty() && bytes + size > cfg_.max_block_bytes) break;
+    if (!block_txs.empty() && bytes + size > kMaxBlockBytes) break;
     block_txs.push_back(&entry.tx);
     block.txs.push_back(entry.tx);
     bytes += size;
@@ -510,7 +502,7 @@ void ConsensusLedger::seal_and_broadcast_fresh() {
   codec::Bytes raw =
       wire::encode_signed_proposal(block_bytes, sign_proposal(block_bytes));
 
-  if (cfg_.byz.equivocate_proposals) {
+  if (cfg_.byzantine) {
     // Byzantine: seal a SECOND, conflicting but validly signed payload for
     // the same height and split the peers. We hold (and retransmit) the
     // honest payload ourselves, so receivers of the alternate eventually see
@@ -559,7 +551,7 @@ void ConsensusLedger::maybe_prevote() {
   my_prevotes_[cur_round_] = m;
   record_vote(prevotes_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrevote, wire::encode_vote(m));
-  if (cfg_.byz.double_vote) {
+  if (cfg_.byzantine) {
     // Byzantine: a second validly signed prevote for a fabricated hash in
     // the same round — the receivers must mask us, not count both.
     wire::VoteMsg evil = m;
@@ -595,9 +587,10 @@ void ConsensusLedger::check_polka() {
       if (!my_precommits_.count(round)) to_precommit.emplace_back(round, hash);
     }
   }
-  const std::uint64_t height_before = applied_;
+  const std::uint64_t height_before = chain_.height();
   for (const auto& [round, hash] : to_precommit) {
-    if (applied_ != height_before) break;  // committed: votes are for a closed height
+    // Committed: the remaining votes are for a closed height.
+    if (chain_.height() != height_before) break;
     if (!my_precommits_.count(round)) send_precommit(round, hash);
   }
 }
@@ -613,7 +606,7 @@ void ConsensusLedger::send_precommit(std::uint32_t round,
   my_precommits_[round] = m;
   record_vote(precommits_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrecommit, wire::encode_vote(m));
-  if (cfg_.byz.double_vote) {
+  if (cfg_.byzantine) {
     wire::VoteMsg evil = m;
     evil.hash[0] ^= 0xFF;
     evil.sig = sign_vote(wire::MsgType::kPrecommit, evil);
@@ -644,10 +637,9 @@ void ConsensusLedger::try_commit() {
         }
       }
       // Move the payload out first: commit_block resets proposals_.
-      const HeldProposal held = std::move(it->second);
-      const codec::Bytes cert =
-          wire::encode_certified_block(held.raw, round, cert_votes);
-      commit_block(held.block, cert);
+      HeldProposal held = std::move(it->second);
+      codec::Bytes cert = wire::encode_certified_block(held.raw, round, cert_votes);
+      commit_block(std::move(held.block), std::move(cert));
       return;
     }
   }
@@ -694,38 +686,25 @@ void ConsensusLedger::retransmit() {
   }
 }
 
-void ConsensusLedger::commit_block(const wire::BlockMsg& block,
-                                   codec::ByteView cert_raw) {
-  auto applied = std::make_shared<ledger::Block>();
-  applied->height = block.height;
-  applied->proposer = block.proposer;
-  applied->proposed_at = timers_.now();
-  applied->first_commit_at = timers_.now();
-  for (const auto& tx : block.txs) {
-    std::string key = tx_dedup_key(tx);
-    // Deterministic safety net: committed_keys_ is a pure function of the
-    // committed prefix, so every node skips exactly the same duplicates.
-    if (!committed_keys_.insert(key).second) continue;
-    own_pending_.erase(key);
-    mempool_keys_.erase(key);
-    applied->bytes += tx.wire_size;
-    applied->txs.push_back(table_.add(tx));
-  }
+void ConsensusLedger::commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw) {
+  // The chain WAL-logs the exact CERTIFIED payload (covers both the
+  // vote-quorum and the sync-response commit paths): recovery and sync
+  // receivers re-verify the certificate instead of trusting the bytes.
+  // Then the application callback runs.
+  chain_.commit(block.height, block.proposer, std::move(block.txs), std::move(cert_raw));
+
+  // Prune what just committed from the mempool.
   if (!mempool_.empty()) {
     std::deque<MempoolEntry> kept;
     for (auto& entry : mempool_) {
-      if (mempool_keys_.count(entry.key)) kept.push_back(std::move(entry));
+      if (chain_.committed(entry.key)) {
+        mempool_keys_.erase(entry.key);
+      } else {
+        kept.push_back(std::move(entry));
+      }
     }
     mempool_.swap(kept);
   }
-  raw_blocks_.emplace_back(cert_raw.begin(), cert_raw.end());
-  chain_.push_back(applied);
-  applied_ = applied->height;
-  // WAL the exact CERTIFIED payload (covers both the vote-quorum and the
-  // sync-response commit paths): recovery and sync receivers re-verify the
-  // certificate instead of trusting the bytes. Unset during recovery
-  // replay, so replayed blocks are never re-logged.
-  if (commit_hook_) commit_hook_(applied->height, cert_raw);
 
   // Fresh height: all consensus state was scoped to the one we just closed.
   // The masked set and evidence are NOT reset — equivocation is forever.
@@ -746,7 +725,6 @@ void ConsensusLedger::commit_block(const wire::BlockMsg& block,
   retry_attempt_ = 0;
   retry_at_ = now + cfg_.retry_interval;
 
-  if (app_cb_) app_cb_(*chain_.back());
   replay_buffered_votes();
   maybe_propose();
   maybe_prevote();
@@ -787,72 +765,38 @@ std::optional<wire::ProposalMsg> ConsensusLedger::check_certified(
   // Voter ids are strictly increasing (wire rule), so checking the last
   // covers them all.
   if (cert->votes.back().voter >= cfg_.n) return std::nullopt;
-  if (cfg_.pki) {
-    const wire::ProposalHash hash = crypto::Sha256::hash(cert->proposal);
-    const codec::Bytes prop_transcript = wire::proposal_transcript(
-        cfg_.cluster, codec::ByteView(cert->proposal).first(prop->block_bytes_len));
-    const codec::Bytes vote_transcript = wire::vote_transcript(
-        cfg_.cluster, wire::MsgType::kPrecommit, prop->block.height, cert->round,
-        hash);
-    std::vector<crypto::Pki::SignedMessage> items;
-    items.reserve(cert->votes.size() + 1);
-    items.push_back(crypto::Pki::SignedMessage{
-        prop->block.proposer, codec::ByteView(prop_transcript), &prop->sig});
-    for (const wire::CommitVote& v : cert->votes) {
-      items.push_back(crypto::Pki::SignedMessage{
-          v.voter, codec::ByteView(vote_transcript), &v.sig});
-    }
-    const crypto::Ed25519::BatchResult result = cfg_.pki->verify_batch(items);
-    if (!result.all_valid) return std::nullopt;
+  const wire::ProposalHash hash = crypto::Sha256::hash(cert->proposal);
+  const codec::Bytes prop_transcript = wire::proposal_transcript(
+      cfg_.cluster, codec::ByteView(cert->proposal).first(prop->block_bytes_len));
+  const codec::Bytes vote_transcript = wire::vote_transcript(
+      cfg_.cluster, wire::MsgType::kPrecommit, prop->block.height, cert->round, hash);
+  std::vector<crypto::Pki::SignedMessage> items;
+  items.reserve(cert->votes.size() + 1);
+  items.push_back(crypto::Pki::SignedMessage{
+      prop->block.proposer, codec::ByteView(prop_transcript), &prop->sig});
+  for (const wire::CommitVote& v : cert->votes) {
+    items.push_back(
+        crypto::Pki::SignedMessage{v.voter, codec::ByteView(vote_transcript), &v.sig});
   }
+  if (!cfg_.pki->verify_batch(items).all_valid) return std::nullopt;
   return prop;
 }
 
-void ConsensusLedger::sync_tick() {
-  timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
-  // Rotate across every peer: any live node serves the committed chain.
-  std::uint32_t target = sync_cursor_++ % cfg_.n;
-  if (target == cfg_.self) target = sync_cursor_++ % cfg_.n;
-  const wire::BlockSyncRequest req{applied_ + 1};
-  transport_.send(target, wire::MsgType::kBlockSyncRequest,
-                  wire::encode_block_sync_request(req));
-}
-
 void ConsensusLedger::on_sync_request(EndpointId from, const wire::BlockSyncRequest& m) {
-  // Heights at or below raw_base_ were compacted into a snapshot: they
-  // cannot be served, and the requester's rotation finds a peer that still
-  // holds them (or one that recovered from an older snapshot).
-  if (m.from_height == 0 || m.from_height > applied_ ||
-      m.from_height <= raw_base_) {
+  if (!cfg_.byzantine) {
+    chain_.serve_sync(from, m.from_height);
     return;
   }
-  std::vector<codec::ByteView> views;
-  std::uint64_t bytes = 0;
-  for (std::uint64_t h = m.from_height;
-       h <= applied_ && views.size() < cfg_.max_sync_blocks; ++h) {
-    const codec::Bytes& b = raw_blocks_[h - 1 - raw_base_];  // committed bytes, verbatim
-    if (!views.empty() && bytes + b.size() > wire::kMaxPayloadBytes / 2) break;
-    bytes += b.size();
-    views.emplace_back(b);
+  // Byzantine: serve certificate bytes with one flipped byte each. The
+  // receiver's check_certified must reject them without crashing (and count
+  // cert_rejects); its rotation then finds an honest server.
+  std::vector<codec::Bytes> mangled;
+  for (const codec::ByteView v : chain_.sync_blocks(m.from_height)) {
+    codec::Bytes& b = mangled.emplace_back(v.begin(), v.end());
+    if (!b.empty()) b[b.size() / 2] ^= 0x5A;
   }
-  if (cfg_.byz.junk_sync) {
-    // Byzantine: serve certificate bytes with one flipped byte each. The
-    // receiver's check_certified must reject them without crashing (and
-    // count cert_rejects); its rotation then finds an honest server.
-    std::vector<codec::Bytes> mangled;
-    mangled.reserve(views.size());
-    for (const codec::ByteView v : views) {
-      codec::Bytes b(v.begin(), v.end());
-      if (!b.empty()) b[b.size() / 2] ^= 0x5A;
-      mangled.push_back(std::move(b));
-    }
-    std::vector<codec::ByteView> mangled_views;
-    mangled_views.reserve(mangled.size());
-    for (const codec::Bytes& b : mangled) mangled_views.emplace_back(b);
-    transport_.send(from, wire::MsgType::kBlockSyncResponse,
-                    wire::encode_block_sync_response(mangled_views));
-    return;
-  }
+  if (mangled.empty()) return;
+  std::vector<codec::ByteView> views(mangled.begin(), mangled.end());
   transport_.send(from, wire::MsgType::kBlockSyncResponse,
                   wire::encode_block_sync_response(views));
 }
@@ -868,22 +812,14 @@ void ConsensusLedger::on_sync_response(const wire::BlockSyncResponse& m) {
       return;
     }
     if (prop->block.height != active_height()) continue;
-    commit_block(prop->block, payload);
+    commit_block(std::move(prop->block), codec::Bytes(payload.begin(), payload.end()));
   }
 }
 
 // --- Durable state -----------------------------------------------------------
 
 void ConsensusLedger::serialize_state(codec::Writer& w) const {
-  w.u8(kConsensusStateVersion);
-  w.varint(applied_);
-  w.varint(appended_);
-  w.varint(table_.size());
-  w.varint(committed_keys_.size());
-  for (const std::string& key : committed_keys_) {
-    w.lp_bytes(codec::ByteView(reinterpret_cast<const std::uint8_t*>(key.data()),
-                               key.size()));
-  }
+  chain_.serialize_state(w, kConsensusStateVersion);
   // v2: Byzantine defences survive restarts — an equivocator stays masked.
   w.varint(equivocations_detected_);
   std::vector<std::uint32_t> masked_ids;
@@ -903,23 +839,7 @@ void ConsensusLedger::serialize_state(codec::Writer& w) const {
 }
 
 bool ConsensusLedger::restore_state(codec::Reader& r) {
-  const auto version = r.u8();
-  if (!version || *version != kConsensusStateVersion) return false;
-  const auto applied = r.varint();
-  const auto appended = r.varint();
-  const auto tx_count = r.varint();
-  const auto key_count = r.varint();
-  if (!applied || !appended || !tx_count || !key_count) return false;
-  applied_ = *applied;
-  raw_base_ = *applied;  // everything below lives only in the snapshot
-  appended_ = *appended;
-  table_.set_base(static_cast<ledger::TxIdx>(*tx_count));
-  committed_keys_.clear();
-  for (std::uint64_t i = 0; i < *key_count; ++i) {
-    const auto key = r.lp_bytes();
-    if (!key) return false;
-    committed_keys_.emplace(reinterpret_cast<const char*>(key->data()), key->size());
-  }
+  if (!chain_.restore_state(r, kConsensusStateVersion)) return false;
   const auto equivocations = r.varint();
   const auto masked_count = r.varint();
   if (!equivocations || !masked_count || *masked_count > cfg_.n) return false;
@@ -967,7 +887,7 @@ bool ConsensusLedger::restore_block(codec::ByteView payload) {
   // re-logged. Not-yet-started: skip_want_ may be empty, which assign() in
   // commit_block handles.
   if (skip_want_.size() != cfg_.n) skip_want_.assign(cfg_.n, 0);
-  commit_block(prop->block, payload);
+  commit_block(std::move(prop->block), codec::Bytes(payload.begin(), payload.end()));
   return true;
 }
 

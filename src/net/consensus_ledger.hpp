@@ -2,42 +2,18 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "crypto/pki.hpp"
+#include "net/committed_chain.hpp"
 #include "net/wire_ledger.hpp"
 #include "sim/simulation.hpp"
 
 namespace setchain::net {
-
-/// Test-only adversarial behaviours of a ConsensusLedger instance: a live
-/// malicious variant for Byzantine-path tests (the honest code paths are
-/// untouched when no flag is set). The flags drive the equivocation /
-/// forgery scenarios in tests/net/consensus_cluster_test.cpp and the
-/// `--byz-consensus` smoke-test node.
-struct ConsensusByzantinePlan {
-  /// Seal TWO validly signed, conflicting proposals for one height and
-  /// split them between the peers (even ids get one, odd ids the other).
-  bool equivocate_proposals = false;
-  /// Follow every honest vote with a second validly signed vote for a
-  /// fabricated hash in the same round.
-  bool double_vote = false;
-  /// Broadcast votes that impersonate another voter and votes carrying
-  /// garbage signatures.
-  bool forge_votes = false;
-  /// Serve corrupted certified blocks to sync requesters.
-  bool junk_sync = false;
-
-  bool any() const {
-    return equivocate_proposals || double_vote || forge_votes || junk_sync;
-  }
-};
 
 /// Retained proof of one equivocation: the two conflicting signed messages
 /// (truncated to a bounded prefix — enough to identify, not to replay an
@@ -57,7 +33,6 @@ struct ConsensusLedgerConfig {
   /// Pacing for FRESH proposals: a proposer seals a new block from its
   /// mempool at most this often (same role as the sequencer's seal tick).
   sim::Time block_interval = sim::from_millis(150);
-  std::uint64_t max_block_bytes = 500'000;
   /// Round liveness timeout: if a height has work pending and no block
   /// committed for this long, broadcast a round-skip (the proposer looks
   /// dead). f+1 skip wishes advance the round to the next proposer.
@@ -67,16 +42,19 @@ struct ConsensusLedgerConfig {
   /// capped at 8x.
   sim::Time retry_interval = sim::from_millis(400);
   sim::Time sync_interval = sim::from_millis(400);
-  std::size_t max_sync_blocks = 64;
-  /// Node keys (paper PKI): proposals and votes are signed with the
-  /// sender's key and verified against the claimed author's. Null disables
-  /// signing/verification (bare unit harnesses only — a live NodeHost
-  /// always provides one).
+  /// Node keys (paper PKI), REQUIRED: proposals and votes are signed with
+  /// the sender's key and verified against the claimed author's.
   const crypto::Pki* pki = nullptr;
   /// cluster_id() of this deployment: mixed into every signing transcript,
   /// so signatures never replay across deployments.
   std::uint64_t cluster = 0;
-  ConsensusByzantinePlan byz;  ///< test-only; default = honest
+  /// TEST-ONLY adversary for the Byzantine-path tests and the
+  /// `--byz-consensus` smoke node: seal two conflicting proposals per
+  /// height and split them between even and odd peers, follow every honest
+  /// vote with a second signed vote for a fabricated hash, broadcast
+  /// impersonated and garbage-signature votes, and serve corrupted
+  /// certified blocks to sync requesters.
+  bool byzantine = false;
 };
 
 /// Wire-level consensus block ledger: the CometbftSim state machine
@@ -137,14 +115,15 @@ struct ConsensusLedgerConfig {
 ///    and re-validated when the height advances — a node one commit behind
 ///    no longer eats a full timeout because its peers' precommits arrived
 ///    early (votes_buffered() / votes_dropped_ahead() count the traffic).
-///  * Submissions gossip: append() broadcasts kTxSubmit to every peer and
-///    retransmits with capped backoff until the tx's content key lands in a
-///    committed block; receivers dedup against mempool + committed history,
-///    and commits prune the mempool — P10 inclusion without a
-///    distinguished node.
-///  * Catch-up: commits are archived as CERTIFIED blocks (proposal + the
-///    2f+1 signed precommits that committed it) and served byte-identical
-///    via rotating kBlockSyncRequest pulls. A sync receiver verifies the
+///  * Submissions gossip: append() hands the tx to CommittedChain::submit,
+///    which broadcasts kTxSubmit to every peer and retransmits with capped
+///    backoff until the tx's content key lands in a committed block;
+///    receivers dedup against mempool + committed history, and commits
+///    prune the mempool — P10 inclusion without a distinguished node.
+///  * Catch-up: commits are handed to the shared CommittedChain as CERTIFIED
+///    blocks (proposal + the 2f+1 signed precommits that committed it),
+///    which WAL-logs them and serves them byte-identical to rotating
+///    kBlockSyncRequest pulls. A sync receiver verifies the
 ///    certificate (proposer signature + quorum of valid precommit
 ///    signatures) before applying — a Byzantine peer can no longer feed a
 ///    straggler a fabricated chain.
@@ -162,8 +141,8 @@ class ConsensusLedger final : public IWireLedger {
   // ReplicatedLedger::append for why that is enough in live deployments).
   ledger::TxIdx append(sim::NodeId origin, ledger::Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const ledger::Block&)> cb) override;
-  const ledger::TxTable& txs() const override { return table_; }
-  std::uint64_t height() const override { return applied_; }
+  const ledger::TxTable& txs() const override { return chain_.txs(); }
+  std::uint64_t height() const override { return chain_.height(); }
 
   // Frame entry points (NodeHost routes inbound frames here).
   void on_tx_submit(EndpointId from, wire::TxSubmit&& m) override;
@@ -177,21 +156,15 @@ class ConsensusLedger final : public IWireLedger {
   bool on_precommit(EndpointId from, const wire::VoteMsg& m) override;
   bool on_round_skip(EndpointId from, const wire::RoundSkipMsg& m) override;
 
-  std::size_t pending_txs() const override {
-    return mempool_.size() + own_pending_.size();
-  }
-  /// Quiescence probe: nothing uncommitted anywhere this node can see.
-  bool idle() const override {
-    return mempool_.empty() && own_pending_.empty() && proposals_.empty();
-  }
   std::uint64_t blocks_broadcast() const override { return blocks_broadcast_; }
 
   // Durable storage (see IWireLedger).
-  void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
+  void set_commit_hook(CommitHook hook) override {
+    chain_.set_commit_hook(std::move(hook));
+  }
   void serialize_state(codec::Writer& w) const override;
   bool restore_state(codec::Reader& r) override;
   bool restore_block(codec::ByteView payload) override;
-  std::uint64_t base_height() const override { return raw_base_; }
 
   std::uint32_t current_round() const { return cur_round_; }
   std::uint32_t proposer_for(std::uint64_t height1based, std::uint32_t round) const {
@@ -219,12 +192,6 @@ class ConsensusLedger final : public IWireLedger {
   struct MempoolEntry {
     std::string key;  ///< tx_dedup_key
     ledger::Transaction tx;
-  };
-  /// One of our own submissions, rebroadcast until committed.
-  struct OwnSubmit {
-    ledger::Transaction tx;
-    std::uint32_t attempt = 0;
-    sim::Time next_send = 0;
   };
   struct HeldProposal {
     wire::BlockMsg block;
@@ -257,10 +224,9 @@ class ConsensusLedger final : public IWireLedger {
 
   std::uint32_t quorum() const { return 2 * cfg_.f + 1; }
   std::uint32_t skip_quorum() const { return cfg_.f + 1; }
-  std::uint64_t active_height() const { return applied_ + 1; }
+  std::uint64_t active_height() const { return chain_.height() + 1; }
 
   void tick();
-  void sync_tick();
   void maybe_propose();
   void maybe_prevote();
   void check_polka();
@@ -299,34 +265,22 @@ class ConsensusLedger final : public IWireLedger {
   /// Verify a certified block (parse + proposer signature + precommit
   /// quorum); returns the materialized proposal on success.
   std::optional<wire::ProposalMsg> check_certified(codec::ByteView cert_payload) const;
-  /// Apply a committed proposal at active_height() and reset per-height
-  /// state. `cert_raw` is the certified-block payload that proves the
-  /// commit — it is what gets archived, WAL-logged, and served to sync.
-  void commit_block(const wire::BlockMsg& block, codec::ByteView cert_raw);
+  /// Commit a proposal at active_height() and reset per-height state.
+  /// `cert_raw` is the certified-block payload that proves the commit — it
+  /// is what gets WAL-logged and served to sync.
+  void commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw);
   void replay_buffered_votes();
 
   ConsensusLedgerConfig cfg_;
   sim::Simulation& timers_;
   ITransport& transport_;
   sim::Time tick_interval_ = 0;
-
-  // Committed state.
-  ledger::TxTable table_;
-  std::deque<std::shared_ptr<ledger::Block>> chain_;
-  /// Committed CERTIFIED block payloads, byte-identical to what was
-  /// verified; raw_blocks_[h-1-raw_base_] is what sync serves for height h.
-  /// Heights <= raw_base_ were compacted into a snapshot and are gone.
-  std::deque<codec::Bytes> raw_blocks_;
-  std::function<void(const ledger::Block&)> app_cb_;
-  std::uint64_t applied_ = 0;
-  std::uint64_t raw_base_ = 0;
-  std::unordered_set<std::string> committed_keys_;
-  CommitHook commit_hook_;
+  /// Committed CERTIFIED blocks, sync and retransmission of own submits.
+  CommittedChain chain_;
 
   // Mempool (gossip-fed, pruned at commit).
   std::deque<MempoolEntry> mempool_;
   std::unordered_set<std::string> mempool_keys_;
-  std::unordered_map<std::string, OwnSubmit> own_pending_;
 
   // Per-height consensus state, reset by commit_block.
   std::map<wire::ProposalHash, HeldProposal> proposals_;  ///< begin() = lowest hash
@@ -358,11 +312,9 @@ class ConsensusLedger final : public IWireLedger {
   std::deque<PendingVote> pending_verify_;
   bool verify_scheduled_ = false;
   FutureVotes future_;
-  bool forged_this_height_ = false;  ///< byz.forge_votes pacing
+  bool forged_this_height_ = false;  ///< Byzantine vote-forgery pacing
 
-  std::uint64_t appended_ = 0;
   std::uint64_t blocks_broadcast_ = 0;  ///< fresh proposals sealed here
-  std::uint32_t sync_cursor_ = 0;
   bool started_ = false;
 };
 

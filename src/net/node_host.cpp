@@ -19,27 +19,20 @@ std::unique_ptr<IWireLedger> make_ledger(const NodeHostConfig& cfg,
     lc.f = cfg.f;
     lc.self = cfg.id;
     lc.block_interval = cfg.block_interval;
-    lc.max_block_bytes = cfg.max_block_bytes;
     lc.timeout_propose = cfg.timeout_propose;
     lc.retry_interval = cfg.retry_interval;
     lc.sync_interval = cfg.sync_interval;
     lc.pki = pki;
     lc.cluster = cluster;
-    if (cfg.byz_consensus) {
-      lc.byz.equivocate_proposals = true;
-      lc.byz.double_vote = true;
-      lc.byz.forge_votes = true;
-      lc.byz.junk_sync = true;
-    }
+    lc.byzantine = cfg.byz_consensus;
     return std::make_unique<ConsensusLedger>(lc, sim, transport);
   }
   ReplicatedLedgerConfig lc;
   lc.n = cfg.n;
   lc.self = cfg.id;
   lc.block_interval = cfg.block_interval;
-  lc.max_block_bytes = cfg.max_block_bytes;
   lc.sync_interval = cfg.sync_interval;
-  lc.resubmit_interval = cfg.resubmit_interval;
+  lc.retry_interval = cfg.retry_interval;
   return std::make_unique<ReplicatedLedger>(lc, sim, transport);
 }
 
@@ -69,8 +62,8 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
   params_.validate = true;
   params_.hash_reversal = true;  // the transport IS the reversal service
   params_.lean_state = false;    // snapshots serve real id lists
-  params_.request_batch_timeout = cfg_.request_batch_timeout;
-  params_.request_batch_retry = cfg_.request_batch_retry;
+  params_.request_batch_timeout = sim::from_millis(500);
+  params_.request_batch_retry = sim::from_millis(100);
 
   core::ServerContext ctx;
   ctx.sim = &sim_;

@@ -34,18 +34,15 @@ struct NodeHostConfig {
   std::uint32_t collector_limit = 8;
   sim::Time collector_timeout = sim::from_millis(200);
   sim::Time block_interval = sim::from_millis(150);
-  std::uint64_t max_block_bytes = 500'000;
   sim::Time sync_interval = sim::from_millis(400);
-  sim::Time request_batch_timeout = sim::from_millis(500);
-  sim::Time request_batch_retry = sim::from_millis(100);
 
   /// How blocks get ordered: a fixed sequencer (fast, no fail-over) or
   /// wire-level consensus (any f crashed nodes tolerated). Folded into the
   /// cluster id, so mixed-mode clusters cannot form by accident.
   runner::LedgerMode ledger_mode = runner::LedgerMode::kFixedSequencer;
-  sim::Time timeout_propose = sim::from_millis(3000);   ///< consensus round timeout
-  sim::Time retry_interval = sim::from_millis(400);     ///< consensus retransmit base
-  sim::Time resubmit_interval = sim::from_millis(300);  ///< sequencer-mode resubmit base
+  sim::Time timeout_propose = sim::from_millis(3000);  ///< consensus round timeout
+  /// Retransmit base, both modes: own submissions and consensus state.
+  sim::Time retry_interval = sim::from_millis(400);
 
   /// Epoch-snapshot compaction cadence: once the node's epoch has advanced
   /// this far past the last snapshot (and applied height == ledger height,
@@ -55,11 +52,12 @@ struct NodeHostConfig {
   /// meaningful when a Storage is attached.
   std::uint64_t snapshot_epochs = 0;
 
-  /// TEST-ONLY: run the consensus ledger with every Byzantine behaviour
-  /// enabled (proposal equivocation, double voting, vote forgery, junk
-  /// sync). The shared-seed PKI means this node signs its conflicting
-  /// messages with its real key — exactly the adversary the masking and
-  /// certificate checks defend against. Ignored in sequencer mode.
+  /// TEST-ONLY: run the consensus ledger as the Byzantine adversary
+  /// (ConsensusLedgerConfig::byzantine: proposal equivocation, double
+  /// voting, vote forgery, junk sync). The shared-seed PKI means this node
+  /// signs its conflicting messages with its real key — exactly the
+  /// adversary the masking and certificate checks defend against. Ignored
+  /// in sequencer mode.
   bool byz_consensus = false;
 };
 

@@ -1,56 +1,55 @@
 #include "net/replicated_ledger.hpp"
 
-#include <algorithm>
-
 namespace setchain::net {
+
+namespace {
+constexpr std::uint8_t kReplicatedStateVersion = 1;
+
+CommittedChainConfig chain_config(const ReplicatedLedgerConfig& cfg) {
+  CommittedChainConfig c;
+  c.n = cfg.n;
+  c.self = cfg.self;
+  c.submit_to = {ReplicatedLedger::kSequencer};  // only the sequencer orders
+  c.sync_interval = cfg.sync_interval;
+  c.retry_interval = cfg.retry_interval;
+  return c;
+}
+}  // namespace
 
 ReplicatedLedger::ReplicatedLedger(ReplicatedLedgerConfig cfg, sim::Simulation& timers,
                                    ITransport& transport)
-    : cfg_(cfg), timers_(timers), transport_(transport) {
-  // A block must always fit one frame — both as a kBlock broadcast and
-  // alone inside a kBlockSyncResponse — or it could never be delivered and
-  // every replica would stall at its height forever. Clamp to half the
-  // frame cap (leaves room for per-tx and response framing overhead).
-  cfg_.max_block_bytes = std::min(cfg_.max_block_bytes, wire::kMaxPayloadBytes / 2);
-}
+    : cfg_(cfg),
+      timers_(timers),
+      transport_(transport),
+      chain_(chain_config(cfg), timers, transport) {}
 
 void ReplicatedLedger::start() {
   if (started_) return;
   started_ = true;
+  // The sequencer never imports blocks or forwards submits: it only seals.
   if (is_sequencer()) {
     timers_.schedule_in(cfg_.block_interval, [this] { seal_tick(); });
   } else {
-    timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
-    timers_.schedule_in(cfg_.resubmit_interval, [this] { resubmit_tick(); });
+    chain_.start();
   }
 }
 
 ledger::TxIdx ReplicatedLedger::append(sim::NodeId origin, ledger::Transaction tx) {
   (void)origin;  // every tx of this node funnels through its own transport
-  const auto ordinal = static_cast<ledger::TxIdx>(appended_++);
+  const ledger::TxIdx ordinal = chain_.next_ordinal();
   std::string key = tx_dedup_key(tx);
   // Recovery replay re-appends the proofs the previous life of this process
   // already published (byte-identical, thanks to deterministic signatures):
   // drop anything whose content already committed.
-  if (committed_keys_.count(key)) return ordinal;
+  if (chain_.committed(key)) return ordinal;
   if (is_sequencer()) {
     // Locally ordered work shares the dedup set with forwarded submits, so
     // a local re-append and a replica's retransmission of the same content
     // can never be sealed twice.
-    if (!seen_submits_.insert(std::move(key)).second) return ordinal;
-    pending_.push_back(std::move(tx));
+    if (!pending_keys_.insert(key).second) return ordinal;
+    pending_.push_back(PendingTx{std::move(key), std::move(tx)});
   } else {
-    const codec::Bytes payload = wire::encode_tx_submit(tx);
-    transport_.send(cfg_.sequencer, wire::MsgType::kTxSubmit, payload);
-    // Track until its key shows up in an applied block: the first send may
-    // ride a connection that drops, and a lost submit would otherwise be
-    // silently gone (the sequencer dedups, so the retries are safe).
-    auto [it, inserted] = inflight_.try_emplace(std::move(key));
-    if (inserted) {
-      it->second.tx = std::move(tx);
-      it->second.attempt = 0;
-      it->second.next_send = timers_.now() + cfg_.resubmit_interval;
-    }
+    chain_.submit(std::move(key), tx);
   }
   return ordinal;
 }
@@ -58,237 +57,104 @@ ledger::TxIdx ReplicatedLedger::append(sim::NodeId origin, ledger::Transaction t
 void ReplicatedLedger::on_new_block(sim::NodeId node,
                                     std::function<void(const ledger::Block&)> cb) {
   (void)node;  // one node per process: only the local callback exists
-  app_cb_ = std::move(cb);
+  chain_.set_app_callback(std::move(cb));
 }
 
 void ReplicatedLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
   (void)from;
   if (!is_sequencer()) return;  // misrouted: only the sequencer orders
   // Dedup by content hash: replicas retransmit submissions until committed,
-  // so the same tx may arrive many times. Keys are kept forever — a retry
-  // can land long after its tx was sealed (and can even outlive a restart:
-  // committed_keys_ restores from the snapshot, seen_submits_ from it).
+  // so the same tx may arrive many times — long after it was sealed, or
+  // even after a restart (the committed keys restore from the snapshot).
   std::string key = tx_dedup_key(m.tx);
-  if (committed_keys_.count(key)) return;
-  if (!seen_submits_.insert(std::move(key)).second) return;
-  pending_.push_back(std::move(m.tx));
+  if (chain_.committed(key) || !pending_keys_.insert(key).second) return;
+  pending_.push_back(PendingTx{std::move(key), std::move(m.tx)});
 }
 
 void ReplicatedLedger::seal_tick() {
   timers_.schedule_in(cfg_.block_interval, [this] { seal_tick(); });
   if (pending_.empty()) return;  // create_empty_blocks=false behaviour
 
-  // Pack up to max_block_bytes of submissions, in arrival order.
-  std::vector<const ledger::Transaction*> block_txs;
-  auto block = std::make_shared<ledger::Block>();
-  block->height = delivered_ + 1;
-  block->proposer = cfg_.self;
-  block->proposed_at = timers_.now();
-  block->first_commit_at = timers_.now();
+  // Pack up to kMaxBlockBytes of submissions, in arrival order.
+  std::vector<ledger::Transaction> txs;
+  std::uint64_t bytes = 0;
   while (!pending_.empty()) {
-    const std::uint64_t size = pending_.front().wire_size;
-    if (!block->txs.empty() && block->bytes + size > cfg_.max_block_bytes) break;
-    const ledger::TxIdx idx = table_.add(std::move(pending_.front()));
+    PendingTx& next = pending_.front();
+    const std::uint64_t size = next.tx.wire_size;
+    if (!txs.empty() && bytes + size > kMaxBlockBytes) break;
+    bytes += size;
+    pending_keys_.erase(next.key);
+    txs.push_back(std::move(next.tx));
     pending_.pop_front();
-    block->txs.push_back(idx);
-    block->bytes += size;
-    block_txs.push_back(&table_.get(idx));
-    committed_keys_.insert(tx_dedup_key(table_.get(idx)));
   }
+  std::vector<const ledger::Transaction*> tx_ptrs;
+  tx_ptrs.reserve(txs.size());
+  for (const auto& tx : txs) tx_ptrs.push_back(&tx);
+  const std::uint64_t height = chain_.height() + 1;
+  codec::Bytes payload = wire::encode_block(height, cfg_.self, tx_ptrs);
 
-  const codec::Bytes payload =
-      wire::encode_block(block->height, block->proposer, block_txs);
-  // WAL write BEFORE the broadcast: once a peer has seen this block, a crash
-  // here must not let the restarted sequencer re-seal the height with
-  // different contents (that would fork the chain).
-  if (commit_hook_) commit_hook_(block->height, payload);
+  // Commit (WAL write) BEFORE the broadcast: once a peer has seen this
+  // block, a crash must not let the restarted sequencer re-seal the height
+  // with different contents (that would fork the chain).
+  const codec::ByteView stored =
+      chain_.commit(height, cfg_.self, std::move(txs), std::move(payload));
   for (std::uint32_t peer = 0; peer < cfg_.n; ++peer) {
     if (peer == cfg_.self) continue;
-    transport_.send(peer, wire::MsgType::kBlock, payload);
+    transport_.send(peer, wire::MsgType::kBlock, stored);
   }
   ++blocks_broadcast_;
-
-  chain_.push_back(block);
-  delivered_ = block->height;
-  if (app_cb_) app_cb_(*chain_.back());
-}
-
-void ReplicatedLedger::sync_tick() {
-  timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
-  // Rotate the pull target across every live peer, not just the sequencer:
-  // all nodes serve sync from their applied chain, so catch-up keeps
-  // working while any one peer is down.
-  std::uint32_t target = sync_cursor_++ % cfg_.n;
-  if (target == cfg_.self) target = sync_cursor_++ % cfg_.n;
-  const wire::BlockSyncRequest req{delivered_ + 1};
-  transport_.send(target, wire::MsgType::kBlockSyncRequest,
-                  wire::encode_block_sync_request(req));
-}
-
-void ReplicatedLedger::resubmit_tick() {
-  timers_.schedule_in(cfg_.resubmit_interval, [this] { resubmit_tick(); });
-  const sim::Time now = timers_.now();
-  for (auto& [key, entry] : inflight_) {
-    if (entry.next_send > now) continue;
-    transport_.send(cfg_.sequencer, wire::MsgType::kTxSubmit,
-                    wire::encode_tx_submit(entry.tx));
-    entry.attempt = std::min<std::uint32_t>(entry.attempt + 1, 3);
-    entry.next_send = now + cfg_.resubmit_interval * (sim::Time{1} << entry.attempt);
-  }
 }
 
 bool ReplicatedLedger::on_block_frame(codec::ByteView payload) {
-  auto m = wire::parse_block(payload);
-  if (!m) return false;  // malformed: drop (a Byzantine sequencer is out of model)
-  ingest(std::move(*m));
+  const auto block = wire::parse_block_view(payload);
+  if (!block) return false;  // malformed: drop (a Byzantine sequencer is out of model)
+  ingest(block->height, payload);
   return true;
 }
 
-void ReplicatedLedger::ingest(wire::BlockMsg&& m) {
-  if (is_sequencer()) return;          // the sequencer never imports blocks
-  if (m.height <= delivered_) return;  // duplicate (sync overlap)
-  buffered_.emplace(m.height, std::move(m));  // no-op when already buffered
-  deliver_ready();
-}
-
-const ledger::Block& ReplicatedLedger::apply_txs(std::uint64_t height,
-                                                 std::uint32_t proposer,
-                                                 std::vector<ledger::Transaction>&& txs) {
-  auto block = std::make_shared<ledger::Block>();
-  block->height = height;
-  block->proposer = proposer;
-  block->proposed_at = timers_.now();
-  block->first_commit_at = timers_.now();
-  for (auto& tx : txs) {
-    const std::uint64_t size = tx.wire_size;
-    std::string key = tx_dedup_key(tx);
-    inflight_.erase(key);  // committed: stop retransmitting
-    // A sequencer replaying its own WAL must also refuse these submits when
-    // replicas retransmit them post-restart.
-    if (is_sequencer()) seen_submits_.insert(key);
-    committed_keys_.insert(std::move(key));
-    block->txs.push_back(table_.add(std::move(tx)));
-    block->bytes += size;
-  }
-  chain_.push_back(block);
-  delivered_ = height;
-  return *chain_.back();
-}
-
-void ReplicatedLedger::deliver_ready() {
+void ReplicatedLedger::ingest(std::uint64_t height, codec::ByteView payload) {
+  if (is_sequencer()) return;              // the sequencer never imports blocks
+  if (height <= chain_.height()) return;   // duplicate (sync overlap)
+  buffered_.try_emplace(height, payload.begin(), payload.end());
   // Strict height order (the ledger's P10): holes wait for sync to fill.
   for (auto it = buffered_.begin();
-       it != buffered_.end() && it->first == delivered_ + 1;
+       it != buffered_.end() && it->first == chain_.height() + 1;
        it = buffered_.erase(it)) {
-    wire::BlockMsg& m = it->second;
-    const ledger::Block& block = apply_txs(m.height, m.proposer, std::move(m.txs));
-    if (commit_hook_) {
-      // Re-encode from the table: canonical varints make this byte-identical
-      // to the frame the sequencer broadcast.
-      const codec::Bytes raw = encode_block_at(block.height);
-      commit_hook_(block.height, raw);
-    }
-    if (app_cb_) app_cb_(block);
+    auto m = wire::parse_block(it->second);  // validated on arrival: cannot fail
+    chain_.commit(m->height, m->proposer, std::move(m->txs), std::move(it->second));
   }
-}
-
-codec::Bytes ReplicatedLedger::encode_block_at(std::uint64_t height1based) const {
-  const auto& block = *chain_.at(height1based - 1 - base_height_);
-  std::vector<const ledger::Transaction*> txs;
-  txs.reserve(block.txs.size());
-  for (const auto idx : block.txs) txs.push_back(&table_.get(idx));
-  return wire::encode_block(block.height, block.proposer, txs);
 }
 
 void ReplicatedLedger::on_sync_request(EndpointId from, const wire::BlockSyncRequest& m) {
-  // Any node serves sync from its applied chain (crash model: peers are
-  // honest, so a replica's copy is as good as the sequencer's). Heights at
-  // or below base_height_ were compacted into a snapshot and cannot be
-  // served — the requester's rotation finds a peer with a longer chain.
-  if (m.from_height == 0 || m.from_height > delivered_ ||
-      m.from_height <= base_height_) {
-    return;
-  }
-  std::vector<codec::Bytes> encoded;
-  std::vector<codec::ByteView> views;
-  std::uint64_t bytes = 0;
-  for (std::uint64_t h = m.from_height;
-       h <= delivered_ && encoded.size() < cfg_.max_sync_blocks; ++h) {
-    codec::Bytes b = encode_block_at(h);
-    // Budget check BEFORE including: the response must stay under the
-    // frame cap. A single block always fits alone (max_block_bytes is
-    // clamped to half the cap), so the requester always makes progress.
-    if (!encoded.empty() && bytes + b.size() > wire::kMaxPayloadBytes / 2) break;
-    bytes += b.size();
-    encoded.push_back(std::move(b));
-  }
-  views.reserve(encoded.size());
-  for (const auto& b : encoded) views.emplace_back(b);
-  transport_.send(from, wire::MsgType::kBlockSyncResponse,
-                  wire::encode_block_sync_response(views));
+  // Any node serves sync from its committed chain (crash model: peers are
+  // honest, so a replica's copy is as good as the sequencer's).
+  chain_.serve_sync(from, m.from_height);
 }
 
 void ReplicatedLedger::on_sync_response(const wire::BlockSyncResponse& m) {
   for (const auto& payload : m.blocks) {
-    auto block = wire::parse_block(payload);
+    const auto block = wire::parse_block_view(payload);
     if (!block) return;
-    ingest(std::move(*block));
+    ingest(block->height, payload);
   }
-}
-
-namespace {
-constexpr std::uint8_t kReplicatedStateVersion = 1;
 }
 
 void ReplicatedLedger::serialize_state(codec::Writer& w) const {
-  w.u8(kReplicatedStateVersion);
-  w.varint(delivered_);
-  w.varint(appended_);
-  w.varint(table_.size());
-  w.varint(committed_keys_.size());
-  for (const std::string& key : committed_keys_) {
-    w.lp_bytes(codec::ByteView(reinterpret_cast<const std::uint8_t*>(key.data()),
-                               key.size()));
-  }
+  chain_.serialize_state(w, kReplicatedStateVersion);
 }
 
 bool ReplicatedLedger::restore_state(codec::Reader& r) {
-  const auto version = r.u8();
-  if (!version || *version != kReplicatedStateVersion) return false;
-  const auto delivered = r.varint();
-  const auto appended = r.varint();
-  const auto tx_count = r.varint();
-  const auto key_count = r.varint();
-  if (!delivered || !appended || !tx_count || !key_count) return false;
-  delivered_ = *delivered;
-  base_height_ = *delivered;  // everything below lives only in the snapshot
-  appended_ = *appended;
-  // Keep uid assignment continuous with the pre-crash run even though the
-  // committed tx contents below the snapshot are gone.
-  table_.set_base(static_cast<ledger::TxIdx>(*tx_count));
-  committed_keys_.clear();
-  for (std::uint64_t i = 0; i < *key_count; ++i) {
-    const auto key = r.lp_bytes();
-    if (!key) return false;
-    committed_keys_.emplace(reinterpret_cast<const char*>(key->data()), key->size());
-  }
-  // The sequencer's submit-dedup set was a superset of the committed set;
-  // the uncommitted remainder died with the process and its origins will
-  // retransmit it.
-  if (is_sequencer()) seen_submits_ = committed_keys_;
-  return true;
+  return chain_.restore_state(r, kReplicatedStateVersion);
 }
 
 bool ReplicatedLedger::restore_block(codec::ByteView payload) {
   auto m = wire::parse_block(payload);
-  if (!m) return false;
-  if (m->height != delivered_ + 1) return false;
-  // Apply through the shared path — bypassing ingest()'s sequencer guard on
-  // purpose: a restarted sequencer rebuilds its own sealed chain this way.
-  // The commit hook is not fired (the record came FROM the WAL) and nothing
-  // goes out on the wire.
-  const ledger::Block& block = apply_txs(m->height, m->proposer, std::move(m->txs));
-  if (app_cb_) app_cb_(block);
+  if (!m || m->height != chain_.height() + 1) return false;
+  // Commit directly — bypassing ingest()'s sequencer guard on purpose: a
+  // restarted sequencer rebuilds its own sealed chain this way. The commit
+  // hook is not installed during recovery, so nothing is re-logged.
+  chain_.commit(m->height, m->proposer, std::move(m->txs),
+                codec::Bytes(payload.begin(), payload.end()));
   return true;
 }
 

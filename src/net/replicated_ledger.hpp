@@ -2,11 +2,10 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "net/committed_chain.hpp"
 #include "net/wire_ledger.hpp"
 #include "sim/simulation.hpp"
 
@@ -15,49 +14,33 @@ namespace setchain::net {
 struct ReplicatedLedgerConfig {
   std::uint32_t n = 4;
   std::uint32_t self = 0;
-  /// Fixed sequencer (node 0 by default): the node that orders transactions
-  /// into blocks. Total order = the sequencer's seal order; every replica
-  /// applies blocks strictly by height. This mode has NO fail-over — a dead
-  /// sequencer halts epoch progress (deploy ConsensusLedger when the
-  /// paper's f-tolerance matters; this mode is the fast bench default).
-  std::uint32_t sequencer = 0;
   sim::Time block_interval = sim::from_millis(150);
-  std::uint64_t max_block_bytes = 500'000;
-  /// Replica catch-up cadence: ask a live peer for blocks above our height
-  /// this often. Recovers anything a dropped connection (or loopback fault
-  /// window) lost, and lets late-starting daemons join mid-stream. Targets
-  /// rotate round-robin across ALL peers — every node serves sync from its
-  /// applied chain, so healing has no single point of failure.
+  /// Rotating catch-up pull cadence (see CommittedChainConfig).
   sim::Time sync_interval = sim::from_millis(400);
-  std::size_t max_sync_blocks = 64;  ///< blocks per sync response (frame cap)
-  /// Base backoff for retransmitting in-flight submissions (doubles per
-  /// attempt, capped at 8x): a kTxSubmit lost on a dropped connection is
-  /// resent until its tx appears in an applied block.
-  sim::Time resubmit_interval = sim::from_millis(300);
+  /// Base backoff for retransmitting own submissions to the sequencer.
+  sim::Time retry_interval = sim::from_millis(400);
 };
 
 /// The paper's abstract block ledger (P9/P10/P11) over a real transport:
-/// a sequencer-ordered replicated log of opaque transactions.
+/// a sequencer-ordered replicated log of opaque transactions. Node
+/// kSequencer orders; this mode has NO fail-over — a dead sequencer halts
+/// epoch progress (deploy ConsensusLedger when the paper's f-tolerance
+/// matters).
 ///
-///  * append(tx): local on the sequencer; forwarded as a kTxSubmit frame
-///    otherwise, and RETRANSMITTED with capped backoff until the tx shows
-///    up in an applied block (the sequencer dedups by content hash, so
-///    retries are safe). The tx is serialized bytes end to end — exactly
-///    what the full-fidelity algorithms put in tx.data.
-///  * The sequencer seals pending txs into a block every block_interval and
-///    broadcasts kBlock frames; replicas apply blocks in height order,
-///    buffering holes and filling them via kBlockSyncRequest — pulled from
-///    peers in rotation, not just the sequencer.
-///  * Every node materializes the same TxTable in the same order, so TxIdx
-///    and uid assignments agree cluster-wide — the same invariant the
-///    simulated CometBFT gives the algorithms.
+///  * append(tx): local on the sequencer; on a replica, a kTxSubmit to the
+///    sequencer, retransmitted until the tx commits (the sequencer dedups
+///    by content hash, so retries are safe).
+///  * The sequencer seals pending txs into a block every block_interval,
+///    commits it (WAL first) and broadcasts the kBlock frame; replicas
+///    commit blocks in height order, buffering holes until the rotating
+///    sync pull fills them.
 ///
-/// Liveness under loss: ledger frames may vanish (TCP reconnect, loopback
-/// fault injection). The submit retransmission and the periodic sync pull
-/// are the catch-up paths; a replica is eventually consistent as long as
-/// the sequencer stays reachable.
+/// Everything after ordering — tx table, stored payloads, sync serving,
+/// retransmission, snapshot state — is the shared CommittedChain.
 class ReplicatedLedger final : public IWireLedger {
  public:
+  static constexpr std::uint32_t kSequencer = 0;
+
   ReplicatedLedger(ReplicatedLedgerConfig cfg, sim::Simulation& timers,
                    ITransport& transport);
 
@@ -68,8 +51,8 @@ class ReplicatedLedger final : public IWireLedger {
   // deployments leave the metrics taps (the only consumers) unwired.
   ledger::TxIdx append(sim::NodeId origin, ledger::Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const ledger::Block&)> cb) override;
-  const ledger::TxTable& txs() const override { return table_; }
-  std::uint64_t height() const override { return delivered_; }
+  const ledger::TxTable& txs() const override { return chain_.txs(); }
+  std::uint64_t height() const override { return chain_.height(); }
 
   // Frame entry points (NodeHost routes inbound ledger frames here).
   void on_tx_submit(EndpointId from, wire::TxSubmit&& m) override;
@@ -77,80 +60,40 @@ class ReplicatedLedger final : public IWireLedger {
   void on_sync_request(EndpointId from, const wire::BlockSyncRequest& m) override;
   void on_sync_response(const wire::BlockSyncResponse& m) override;
 
-  bool is_sequencer() const { return cfg_.self == cfg_.sequencer; }
-  std::size_t pending_txs() const override {
-    return pending_.size() + inflight_.size();
-  }
-  /// Quiescence probe: nothing pending locally, nothing awaiting its block,
-  /// and no delivery hole.
-  bool idle() const override {
-    return pending_.empty() && inflight_.empty() && buffered_.empty();
-  }
+  bool is_sequencer() const { return cfg_.self == kSequencer; }
   std::uint64_t blocks_broadcast() const override { return blocks_broadcast_; }
 
   // Durable storage (see IWireLedger).
-  void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
+  void set_commit_hook(CommitHook hook) override {
+    chain_.set_commit_hook(std::move(hook));
+  }
   void serialize_state(codec::Writer& w) const override;
   bool restore_state(codec::Reader& r) override;
   bool restore_block(codec::ByteView payload) override;
-  std::uint64_t base_height() const override { return base_height_; }
 
  private:
-  /// One submission forwarded to the sequencer and not yet seen in a block.
-  struct InflightSubmit {
+  struct PendingTx {
+    std::string key;  ///< tx_dedup_key
     ledger::Transaction tx;
-    std::uint32_t attempt = 0;
-    sim::Time next_send = 0;
   };
 
   void seal_tick();
-  void sync_tick();
-  void resubmit_tick();
-  void ingest(wire::BlockMsg&& m);
-  void deliver_ready();
-  void apply_block(std::shared_ptr<ledger::Block> block);
-  /// Apply one in-order block's transactions: dedup-key bookkeeping, table
-  /// adds, chain append. Shared by live delivery and WAL replay.
-  const ledger::Block& apply_txs(std::uint64_t height, std::uint32_t proposer,
-                                 std::vector<ledger::Transaction>&& txs);
-  /// Re-encode block `height1based` from the local table (sync responses,
-  /// WAL records). Height must be > base_height_.
-  codec::Bytes encode_block_at(std::uint64_t height1based) const;
+  /// Buffer a parsed-valid kBlock payload and commit whatever is in order.
+  void ingest(std::uint64_t height, codec::ByteView payload);
 
   ReplicatedLedgerConfig cfg_;
   sim::Simulation& timers_;
   ITransport& transport_;
+  CommittedChain chain_;
 
-  ledger::TxTable table_;
-  std::deque<ledger::Transaction> pending_;  ///< sequencer: unsealed submissions
-  /// Applied chain; deque gives stable references for the deferred
-  /// process_block continuations the servers schedule. chain_[h-1-base_height_]
-  /// is the block at height h; heights <= base_height_ were compacted into a
-  /// snapshot and are gone.
-  std::deque<std::shared_ptr<ledger::Block>> chain_;
-  std::map<std::uint64_t, wire::BlockMsg> buffered_;  ///< holes ahead of delivered_
-  std::function<void(const ledger::Block&)> app_cb_;
-
-  /// Replica side of lost-submit recovery: everything forwarded and not yet
-  /// committed, keyed by tx_dedup_key, retransmitted with capped backoff.
-  std::unordered_map<std::string, InflightSubmit> inflight_;
-  /// Sequencer side: content keys ever accepted (pending or sealed), so a
-  /// retransmitted submit can never enter a block twice.
-  std::unordered_set<std::string> seen_submits_;
-  /// Content keys of every committed tx, on every role. Persisted in
-  /// snapshots: after a restart the WAL-gap replay re-publishes the proofs
-  /// it re-derives, and because Ed25519 is deterministic those re-appends
-  /// are byte-identical — this set drops them in append() instead of
-  /// letting them bloat the chain.
-  std::unordered_set<std::string> committed_keys_;
-
-  std::uint64_t delivered_ = 0;    ///< highest height applied locally
-  std::uint64_t base_height_ = 0;  ///< heights <= this compacted away
-  std::uint64_t appended_ = 0;     ///< local submission ordinal
+  /// Sequencer: unsealed submissions in arrival order, and their keys, so a
+  /// retransmitted submit can never be sealed twice.
+  std::deque<PendingTx> pending_;
+  std::unordered_set<std::string> pending_keys_;
+  /// Replica: kBlock payloads above the next height, awaiting their hole.
+  std::map<std::uint64_t, codec::Bytes> buffered_;
   std::uint64_t blocks_broadcast_ = 0;
-  std::uint32_t sync_cursor_ = 0;  ///< round-robin peer cursor for sync pulls
   bool started_ = false;
-  CommitHook commit_hook_;
 };
 
 }  // namespace setchain::net

@@ -1,28 +1,12 @@
 #pragma once
 
 #include <functional>
-#include <string>
 
 #include "codec/byte_io.hpp"
-#include "crypto/sha256.hpp"
 #include "ledger/ledger_node.hpp"
 #include "net/transport.hpp"
 
 namespace setchain::net {
-
-/// Content hash of one ledger transaction — SHA-256 over (kind byte ‖ data),
-/// the dedup key both live ledger modes use for submit retransmission:
-/// the origin resends a pending tx until this key appears in an applied
-/// block, and receivers drop submits whose key they already hold, so
-/// retries are always safe.
-inline std::string tx_dedup_key(const ledger::Transaction& tx) {
-  crypto::Sha256 h;
-  const std::uint8_t kind = static_cast<std::uint8_t>(tx.kind);
-  h.update(codec::ByteView(&kind, 1));
-  h.update(tx.data);
-  const auto d = h.finalize();
-  return std::string(reinterpret_cast<const char*>(d.data()), d.size());
-}
 
 /// Transport-facing face shared by the two live ledger modes —
 /// ReplicatedLedger (fixed sequencer) and ConsensusLedger (wire-level
@@ -68,11 +52,8 @@ class IWireLedger : public ledger::IBlockLedger {
     return false;
   }
 
-  /// Locally-originated work not yet committed (mempool + in-flight
-  /// submissions awaiting their block).
-  virtual std::size_t pending_txs() const = 0;
-  /// Quiescence probe: nothing pending locally and no delivery hole.
-  virtual bool idle() const = 0;
+  /// Blocks this node sealed and sent out (sequencer blocks, or fresh
+  /// consensus proposals).
   virtual std::uint64_t blocks_broadcast() const = 0;
 
   // ---- durable storage (src/storage, wired by NodeHost) ----
@@ -96,19 +77,17 @@ class IWireLedger : public ledger::IBlockLedger {
   /// WAL holds the tail, the snapshot compacts everything below it.
   virtual void serialize_state(codec::Writer& w) const = 0;
   /// Inverse, onto a freshly constructed not-yet-started ledger. After a
-  /// successful restore the ledger reports height() == the snapshot height
-  /// and base_height() == the same (compacted prefix). False on malformed
-  /// input.
+  /// successful restore the ledger reports height() == the snapshot height;
+  /// heights up to it are compacted away (block sync cannot serve them — a
+  /// fresh node that far behind needs a snapshot transfer, future work).
+  /// False on malformed input.
   virtual bool restore_state(codec::Reader& r) = 0;
   /// Replay one WAL block record (wire payload) during recovery. Must be
   /// the next height (height()+1); the block flows through the normal
-  /// apply path including the application callback, but never back out to
-  /// the wire or the commit hook. False on parse failure or height gap.
+  /// commit path including the application callback, but never back out
+  /// to the wire (NodeHost installs the commit hook only after replay, so
+  /// nothing is re-logged). False on parse failure or height gap.
   virtual bool restore_block(codec::ByteView payload) = 0;
-  /// Heights <= this are compacted away: no chain/raw storage, block-sync
-  /// cannot be served below it (a fresh node that far behind needs a
-  /// snapshot transfer, which is future work).
-  virtual std::uint64_t base_height() const = 0;
 };
 
 }  // namespace setchain::net

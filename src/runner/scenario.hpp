@@ -26,7 +26,7 @@ std::optional<Algorithm> parse_algorithm(std::string_view name);
 /// benches; kConsensus runs the wire-level consensus port (rotating
 /// proposers, round skips, vote quorums) and keeps committing with up to f
 /// crashed nodes — the f-tolerance the paper's properties assume. The DES
-/// Experiment always simulates the full CometbftSim and ignores this knob.
+/// Experiment always simulates the full CometbftSim.
 enum class LedgerMode : std::uint8_t { kFixedSequencer, kConsensus };
 
 const char* ledger_mode_name(LedgerMode m);
@@ -68,9 +68,6 @@ struct Scenario {
   // Ledger configuration (§4: CometBFT, 1.25 s blocks, 0.5 MB).
   sim::Time block_interval = sim::from_seconds(1.25);
   std::uint64_t block_bytes = 500'000;
-  /// Live-deployment ordering layer (see LedgerMode; ignored by the DES
-  /// Experiment, which always simulates the full consensus).
-  LedgerMode ledger_mode = LedgerMode::kFixedSequencer;
 
   // Fault injection: application-level Byzantine behaviours...
   std::vector<std::uint32_t> byz_silent_proposers;

@@ -447,6 +447,8 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
   lc.n = cl.cfg.n;
   lc.f = cl.cfg.f;
   lc.self = 0;
+  lc.pki = &cl.hosts[0]->pki();
+  lc.cluster = cl.hosts[0]->cluster();
   ConsensusLedger restored(lc, cl.sim, cl.hub.transport(0));
   ASSERT_TRUE(restored.restore_state(r));
   EXPECT_TRUE(restored.masked(1));
@@ -570,7 +572,7 @@ TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
   cfg.collector_timeout = sim::from_millis(200);
   cfg.block_interval = sim::from_millis(150);
   cfg.sync_interval = sim::from_millis(400);
-  cfg.resubmit_interval = sim::from_millis(300);
+  cfg.retry_interval = sim::from_millis(300);
 
   sim::FaultPlan plan;
   plan.faults.push_back(sim::Fault::drop(/*from=*/2, /*to=*/0,

@@ -11,6 +11,8 @@
 #include <thread>
 
 #include "api/quorum_client.hpp"
+#include "net/committed_chain.hpp"
+#include "net/loopback.hpp"
 #include "net/remote_node.hpp"
 #include "net/tcp.hpp"
 #include "net_fixture.hpp"
@@ -477,6 +479,201 @@ TEST(RestartCluster, ConsensusWholeQuorumRestart) {
                                    cl.hosts[0]->params(), cl.hosts[0]->pki(),
                                    reference, "vanilla/consensus-restart");
 }
+
+// Byte-level pins of the two durable ledger formats, one per ledger mode,
+// on a deterministic loopback cluster whose nodes WAL-log every commit.
+//
+//  * Ledger-state blob (snapshot body section, docs/STORAGE_FORMAT.md):
+//      u8 version (1 sequencer, 2 consensus), varint height, varint local
+//      submission ordinal, varint committed tx count, varint key count,
+//      then one lp_bytes 32-byte content key per committed tx;
+//    v2 appends varint equivocations, varint masked count + ids, varint
+//    evidence count + records — all zero in an honest run.
+//  * WAL block records: the sequencer mode logs the kBlock payload (every
+//    replica's record is byte-identical to the one the sequencer sealed and
+//    broadcast); the consensus mode logs the certified block (signed
+//    kProposal ‖ round ‖ precommit quorum, docs/WIRE_FORMAT.md). Either way
+//    the records re-encode to themselves and, in height order, carry
+//    exactly the node's committed transactions.
+class LedgerFormatPin : public ::testing::TestWithParam<runner::LedgerMode> {};
+
+TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
+  const runner::LedgerMode mode = GetParam();
+  const bool consensus = mode == runner::LedgerMode::kConsensus;
+  const NodeHostConfig cfg = DurableCluster::make_config(
+      runner::Algorithm::kVanilla, mode, /*snapshot_epochs=*/0);
+  char tmpl[] = "/tmp/setchain_pin_XXXXXX";
+  const std::string root = ::mkdtemp(tmpl);
+  const auto node_dir = [&root](std::uint32_t i) {
+    return root + "/node" + std::to_string(i);
+  };
+
+  sim::Simulation sim;
+  LoopbackHub hub(sim, cfg.n);
+  std::vector<std::unique_ptr<storage::Storage>> stores;
+  std::vector<std::unique_ptr<NodeHost>> hosts;
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    storage::StorageConfig sc;
+    sc.dir = node_dir(i);
+    sc.fsync = storage::FsyncMode::kOff;
+    std::string err;
+    stores.push_back(storage::Storage::open(sc, &err));
+    ASSERT_NE(stores.back(), nullptr) << err;
+    NodeHostConfig c = cfg;
+    c.id = i;
+    hosts.push_back(
+        std::make_unique<NodeHost>(c, sim, hub.transport(i), stores.back().get()));
+    ASSERT_TRUE(hosts.back()->recover(&err)) << err;
+    hosts.back()->start();
+  }
+
+  crypto::Pki pki(cfg.seed);
+  for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
+    pki.register_process(p);
+  }
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    stubs.push_back(
+        std::make_unique<RemoteNode>(std::make_unique<LoopbackRpcChannel>(hub, i), i));
+  }
+  api::QuorumClient client = api::make_quorum_client(
+      stubs, pki, cfg.f, core::Fidelity::kFull, api::WritePolicy::kAll);
+  std::vector<core::ElementId> accepted;
+  for (const auto& e : make_workload(cfg, 8, pki)) {
+    if (client.add(e).ok) accepted.push_back(e.id);
+  }
+  ASSERT_FALSE(accepted.empty());
+  // Run until every node holds the same non-empty chain with every epoch
+  // f+1-proved on it, then let the cluster go quiet.
+  const sim::Time deadline = sim.now() + sim::from_seconds(120);
+  const auto settled = [&] {
+    const auto view = client.get();
+    if (view.epoch == 0) return false;
+    for (auto& stub : stubs) {
+      for (std::uint64_t e = 1; e <= view.epoch; ++e) {
+        if (stub->proofs_for_epoch(e).size() < cfg.f + 1) return false;
+      }
+    }
+    for (const auto& h : hosts) {
+      if (h->ledger().height() != hosts[0]->ledger().height()) return false;
+    }
+    return true;
+  };
+  while (sim.now() < deadline && !settled()) {
+    sim.run_until(sim.now() + sim::from_millis(250));
+  }
+  ASSERT_TRUE(settled()) << "cluster never settled";
+  sim.run_until(sim.now() + sim::from_seconds(2));
+  ASSERT_TRUE(settled());
+
+  std::vector<std::vector<codec::Bytes>> records(cfg.n);
+  for (std::uint32_t i = 0; i < cfg.n; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const IWireLedger& ledger = hosts[i]->ledger();
+    const ledger::TxTable& table = ledger.txs();
+    const std::uint64_t chain_height = ledger.height();
+    ASSERT_GT(chain_height, 0u);
+    std::vector<codec::Bytes> committed;  // tx data in table order
+    for (ledger::TxIdx idx = 0; idx < table.size(); ++idx) {
+      committed.push_back(table.get(idx).data);
+    }
+
+    // Ledger-state blob.
+    codec::Writer w;
+    ledger.serialize_state(w);
+    codec::Reader r{codec::ByteView(w.buffer())};
+    EXPECT_EQ(r.u8(), std::optional<std::uint8_t>(consensus ? 2 : 1));
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(chain_height));
+    const auto ordinal = r.varint();
+    ASSERT_TRUE(ordinal.has_value());
+    EXPECT_GT(*ordinal, 0u);  // every node publishes its epoch proofs
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(table.size()));
+    const auto key_count = r.varint();
+    ASSERT_EQ(key_count, std::optional<std::uint64_t>(table.size()));
+    std::unordered_set<std::string> expected_keys;
+    for (ledger::TxIdx idx = 0; idx < table.size(); ++idx) {
+      expected_keys.insert(tx_dedup_key(table.get(idx)));
+    }
+    for (std::uint64_t k = 0; k < *key_count; ++k) {
+      const auto key = r.lp_bytes();
+      ASSERT_TRUE(key.has_value());
+      ASSERT_EQ(key->size(), 32u);
+      EXPECT_EQ(expected_keys.erase(std::string(key->begin(), key->end())), 1u);
+    }
+    if (consensus) {
+      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // equivocations
+      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // masked ids
+      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // evidence records
+    }
+    EXPECT_TRUE(r.done()) << r.remaining() << " trailing bytes";
+
+    // WAL block records, read back from disk after the node is torn down.
+    std::size_t next_tx = 0;
+    const auto check_txs = [&](const std::vector<ledger::Transaction>& txs) {
+      for (const auto& tx : txs) {
+        ASSERT_LT(next_tx, committed.size());
+        EXPECT_EQ(tx.data, committed[next_tx++]);
+      }
+    };
+    hosts[i].reset();
+    stores[i].reset();
+    storage::StorageConfig sc;
+    sc.dir = node_dir(i);
+    std::string err;
+    auto store = storage::Storage::open(sc, &err);
+    ASSERT_NE(store, nullptr) << err;
+    std::uint64_t next_height = 1;
+    ASSERT_TRUE(store->replay([&](storage::WalRecordKind kind, std::uint64_t height,
+                                  codec::ByteView payload) {
+      if (kind != storage::WalRecordKind::kBlock) return;
+      EXPECT_EQ(height, next_height++);
+      records[i].emplace_back(payload.begin(), payload.end());
+      if (consensus) {
+        const auto cert = wire::parse_certified_block(payload);
+        ASSERT_TRUE(cert.has_value());
+        EXPECT_GE(cert->votes.size(), 2 * cfg.f + 1);
+        EXPECT_EQ(wire::encode_certified_block(cert->proposal, cert->round, cert->votes),
+                  records[i].back());
+        const auto prop = wire::parse_proposal(cert->proposal);
+        ASSERT_TRUE(prop.has_value());
+        ASSERT_EQ(prop->block.height, height);
+        const codec::ByteView block =
+            codec::ByteView(cert->proposal).first(prop->block_bytes_len);
+        EXPECT_EQ(wire::encode_signed_proposal(block, prop->sig), cert->proposal);
+        std::vector<const ledger::Transaction*> txs;
+        for (const auto& tx : prop->block.txs) txs.push_back(&tx);
+        EXPECT_EQ(wire::encode_block(height, prop->block.proposer, txs),
+                  codec::Bytes(block.begin(), block.end()));
+        check_txs(prop->block.txs);
+        return;
+      }
+      const auto m = wire::parse_block(payload);
+      ASSERT_TRUE(m.has_value());
+      ASSERT_EQ(m->height, height);
+      std::vector<const ledger::Transaction*> txs;
+      for (const auto& tx : m->txs) txs.push_back(&tx);
+      EXPECT_EQ(wire::encode_block(height, m->proposer, txs), records[i].back());
+      check_txs(m->txs);
+    }));
+    EXPECT_EQ(next_height, chain_height + 1);
+    EXPECT_EQ(next_tx, committed.size());
+  }
+  if (!consensus) {
+    // Replicas log the kBlock frames the sequencer broadcast, verbatim.
+    for (std::uint32_t i = 1; i < cfg.n; ++i) {
+      EXPECT_EQ(records[i], records[0]) << "node " << i;
+    }
+  }
+  const std::string cmd = "rm -rf '" + root + "'";
+  (void)std::system(cmd.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, LedgerFormatPin,
+                         ::testing::Values(runner::LedgerMode::kFixedSequencer,
+                                           runner::LedgerMode::kConsensus),
+                         [](const auto& info) {
+                           return std::string(runner::ledger_mode_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace setchain::net

@@ -318,7 +318,9 @@ TEST(StorageFacade, SnapshotFloorSplitsReplay) {
     ASSERT_NE(st, nullptr) << err;
     for (std::uint64_t h = 1; h <= 10; ++h) {
       ASSERT_TRUE(st->append_block(h, blockp));
-      if (h % 2 == 0) ASSERT_TRUE(st->append_batch(h, batchp));
+      if (h % 2 == 0) {
+        ASSERT_TRUE(st->append_batch(h, batchp));
+      }
     }
     ASSERT_TRUE(st->write_snapshot(6, bytes_of({9, 9, 9})));
     EXPECT_EQ(st->snapshots_written(), 1u);

@@ -8,7 +8,7 @@
 //
 //   # 2000 open-loop rollup clients against a self-booted 4-node consensus
 //   # cluster, 20 s at 1500 adds/s, JSON trajectory to BENCH_load.json:
-//   ./setchain_loadgen --workload rollup --ledger consensus --sessions 2000 \
+//   ./setchain_loadgen --workload rollup --ledger consensus --sessions 2000
 //       --rate 1500 --duration-s 20 --json BENCH_load.json --check
 //
 //   # Rate curve (one phase per rate, each --duration-s long):

@@ -32,7 +32,7 @@ void usage(const char* argv0) {
       "          [--f F] [--algo vanilla|compresschain|hashchain] [--seed S]\n"
       "          [--ledger sequencer|consensus] [--timeout-propose-ms T]\n"
       "          [--collector K] [--collector-timeout-ms T] [--block-interval-ms B]\n"
-      "          [--block-bytes BYTES] [--clients C] [--quiet]\n"
+      "          [--clients C] [--quiet]\n"
       "          [--data-dir DIR] [--fsync always|interval|off]\n"
       "          [--snapshot-epochs E] [--byz-consensus]\n"
       "\n"
@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
       cfg.collector_timeout = sim::from_millis(std::atof(need_value(i)));
     } else if (arg == "--block-interval-ms") {
       cfg.block_interval = sim::from_millis(std::atof(need_value(i)));
-    } else if (arg == "--block-bytes") {
-      cfg.max_block_bytes = std::strtoull(need_value(i), nullptr, 10);
     } else if (arg == "--clients") {
       cfg.client_slots = static_cast<std::uint32_t>(std::atoi(need_value(i)));
     } else if (arg == "--data-dir") {
