@@ -29,26 +29,52 @@ void CommittedChain::send_submit(const ledger::Transaction& tx) {
   }
 }
 
-void CommittedChain::submit(std::string key, const ledger::Transaction& tx) {
-  send_submit(tx);
-  // Track until the key shows up in a committed block: the first send may
-  // ride a connection that drops, and a lost submit would otherwise be
+CommittedChain::Pooled* CommittedChain::pool(std::string key, ledger::Transaction&& tx) {
+  // A tx that cannot fit a block alone could never commit; admitting it
+  // would wedge every proposer that reaps it first.
+  if (wire::tx_encoded_size(tx) > kMaxBlockBytes || keys_.contains(key)) return nullptr;
+  const auto [it, inserted] = pooled_.try_emplace(std::move(key));
+  if (!inserted) return nullptr;
+  it->second = pool_.insert(pool_.end(), Pooled{std::move(tx)});
+  return &*it->second;
+}
+
+bool CommittedChain::submit(std::string key, ledger::Transaction tx) {
+  Pooled* p = pool(std::move(key), std::move(tx));
+  if (p == nullptr) return false;
+  // Retransmit until the key shows up in a committed block: the first send
+  // may ride a connection that drops, and a lost submit would otherwise be
   // silently gone (receivers dedup, so the retries are safe).
-  auto [it, inserted] = own_.try_emplace(std::move(key));
-  if (inserted) {
-    it->second.tx = tx;
-    it->second.next_send = timers_.now() + cfg_.retry_interval;
+  p->own = true;
+  p->next_send = timers_.now() + cfg_.retry_interval;
+  send_submit(p->tx);
+  return true;
+}
+
+bool CommittedChain::accept(std::string key, ledger::Transaction tx) {
+  return pool(std::move(key), std::move(tx)) != nullptr;
+}
+
+std::vector<const ledger::Transaction*> CommittedChain::reap() const {
+  std::vector<const ledger::Transaction*> txs;
+  std::uint64_t bytes = 0;
+  for (const Pooled& p : pool_) {
+    // Every pooled tx fits a block alone, so the first one always goes in.
+    bytes += wire::tx_encoded_size(p.tx);
+    if (bytes > kMaxBlockBytes) break;
+    txs.push_back(&p.tx);
   }
+  return txs;
 }
 
 void CommittedChain::retry_tick() {
   timers_.schedule_in(retry_tick_, [this] { retry_tick(); });
   const sim::Time now = timers_.now();
-  for (auto& [key, e] : own_) {
-    if (e.next_send > now) continue;
-    send_submit(e.tx);
-    e.attempt = std::min<std::uint32_t>(e.attempt + 1, 3);
-    e.next_send = now + cfg_.retry_interval * (sim::Time{1} << e.attempt);
+  for (Pooled& p : pool_) {
+    if (!p.own || p.next_send > now) continue;
+    send_submit(p.tx);
+    p.attempt = std::min<std::uint32_t>(p.attempt + 1, 3);
+    p.next_send = now + cfg_.retry_interval * (sim::Time{1} << p.attempt);
   }
 }
 
@@ -65,7 +91,10 @@ codec::ByteView CommittedChain::commit(std::uint64_t height, std::uint32_t propo
     // Committed keys are a pure function of the committed prefix, so every
     // node skips exactly the same duplicates.
     if (!keys_.insert(key).second) continue;
-    own_.erase(key);
+    if (const auto it = pooled_.find(key); it != pooled_.end()) {
+      pool_.erase(it->second);
+      pooled_.erase(it);
+    }
     block.bytes += tx.wire_size;
     block.txs.push_back(table_.add(std::move(tx)));
   }

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <functional>
+#include <list>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,14 +17,15 @@
 
 namespace setchain::net {
 
-/// The paper's block size: both live ledgers seal at most this many tx
-/// bytes into one block. Well under half the frame cap, so a block always
-/// fits one broadcast frame and rides alone in a kBlockSyncResponse.
+/// The paper's block size: both live ledgers seal at most this many encoded
+/// tx bytes (wire::tx_encoded_size) into one block. Well under half the
+/// frame cap, so a block always fits one broadcast frame and rides alone in
+/// a kBlockSyncResponse.
 inline constexpr std::uint64_t kMaxBlockBytes = 500'000;
 static_assert(kMaxBlockBytes <= wire::kMaxPayloadBytes / 2);
 
 /// Content hash of one ledger transaction — SHA-256 over (kind byte ‖ data),
-/// the dedup key of both live ledger modes: the origin resends a pending tx
+/// the dedup key of both live ledger modes: the origin resends a pooled tx
 /// until this key appears in a committed block, and receivers drop submits
 /// whose key they already hold, so retries are always safe.
 inline std::string tx_dedup_key(const ledger::Transaction& tx) {
@@ -38,7 +40,8 @@ inline std::string tx_dedup_key(const ledger::Transaction& tx) {
 struct CommittedChainConfig {
   std::uint32_t n = 4;
   std::uint32_t self = 0;
-  /// Peers an own submission is sent (and retransmitted) to.
+  /// Peers an own submission is sent (and retransmitted) to; empty on a
+  /// node that orders its own submissions.
   std::vector<EndpointId> submit_to;
   /// Catch-up cadence: ask the next peer in rotation for blocks above our
   /// height this often. Heals frames lost on dropped connections and lets
@@ -49,22 +52,28 @@ struct CommittedChainConfig {
   sim::Time retry_interval = sim::from_millis(400);
 };
 
-/// The committed half of a live block ledger, shared by both ordering
-/// policies (ReplicatedLedger's sequencer, ConsensusLedger's rounds). The
-/// policy decides WHAT commits; this class decides how a committed block
-/// lands and how it is shared afterwards:
+/// Everything of a live block ledger but its ordering, shared by both
+/// ordering policies (ReplicatedLedger's sequencer, ConsensusLedger's
+/// rounds). The policy decides WHAT commits and when a block is sealed;
+/// this class holds the txs waiting for a block, lands committed blocks and
+/// shares them afterwards:
 ///
+///  * Pool: pending txs in arrival order, deduplicated by content key
+///    against each other and the committed history. submit() pools an own
+///    tx, sends it to `submit_to` and retransmits it with capped backoff
+///    until its key commits; accept() pools a peer's kTxSubmit. A tx whose
+///    encoded size exceeds kMaxBlockBytes is refused: it could never fit a
+///    block. reap() packs the next block from the pool and leaves it there.
 ///  * commit(): one already-validated block at height()+1, given as
 ///    (height, proposer, txs, exact payload bytes). Duplicate content keys
-///    are skipped, the rest join the TxTable, the block and its payload are
-///    stored, then the commit hook (WAL) and the application callback fire,
-///    in that order.
+///    are skipped, the rest leave the pool and join the TxTable, the block
+///    and its payload are stored, then the commit hook (WAL) and the
+///    application callback fire, in that order.
 ///  * Sync: every node pulls blocks above its height from a rotating peer
 ///    and serves pulls from the stored payload bytes, verbatim.
-///  * Own submissions: sent to `submit_to` and retransmitted with capped
-///    backoff until their key commits.
 ///  * Snapshot state prefix (docs/STORAGE_FORMAT.md): version, height,
-///    submission ordinal, tx count, committed content keys.
+///    submission ordinal, tx count, committed content keys. The pool is not
+///    persisted.
 ///
 /// Heights <= base (a restored snapshot's height) are compacted away: no
 /// block or payload storage, and sync cannot be served below them.
@@ -81,16 +90,24 @@ class CommittedChain {
 
   std::uint64_t height() const { return height_; }
   const ledger::TxTable& txs() const { return table_; }
-  bool committed(const std::string& key) const { return keys_.contains(key); }
   /// The local submission ordinal IBlockLedger::append returns.
   ledger::TxIdx next_ordinal() { return static_cast<ledger::TxIdx>(appended_++); }
 
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
   void set_app_callback(AppCallback cb) { app_cb_ = std::move(cb); }
 
-  /// Send `tx` (content key `key`) to every submit peer and keep resending
-  /// it until the key commits.
-  void submit(std::string key, const ledger::Transaction& tx);
+  /// Pool the own tx `tx` (content key `key`), send it to every submit peer
+  /// and keep resending it until the key commits. False, with nothing sent,
+  /// when the pool refuses it: the key is committed or pooled already, or
+  /// the tx cannot fit a block.
+  bool submit(std::string key, ledger::Transaction tx);
+  /// Pool a peer's submitted tx; refuses what submit() refuses.
+  bool accept(std::string key, ledger::Transaction tx);
+  /// The next block's txs: pooled txs in arrival order, as many as fit
+  /// kMaxBlockBytes of encoded size. They stay pooled until they commit;
+  /// the pointers hold until the pool next changes.
+  std::vector<const ledger::Transaction*> reap() const;
+  bool pool_empty() const { return pool_.empty(); }
 
   /// Apply the committed block at height()+1. `raw` is its durable payload:
   /// what the commit hook logs and sync serves. Returns the stored copy.
@@ -110,13 +127,16 @@ class CommittedChain {
   bool restore_state(codec::Reader& r, std::uint8_t version);
 
  private:
-  /// One own submission not yet seen in a committed block.
-  struct OwnSubmit {
+  /// One tx not yet seen in a committed block.
+  struct Pooled {
     ledger::Transaction tx;
+    bool own = false;  ///< submitted here: retransmitted until committed
     std::uint32_t attempt = 0;
     sim::Time next_send = 0;
   };
 
+  /// Admit `tx` at the pool's tail; nullptr when refused.
+  Pooled* pool(std::string key, ledger::Transaction&& tx);
   void send_submit(const ledger::Transaction& tx);
   void sync_tick();
   void retry_tick();
@@ -134,9 +154,11 @@ class CommittedChain {
   /// Content keys of every committed tx. Persisted in snapshots: after a
   /// restart the WAL-gap replay re-publishes proofs it re-derives, and
   /// deterministic signatures make those re-appends byte-identical — the
-  /// policies drop them against this set instead of re-committing them.
+  /// pool drops them against this set instead of re-committing them.
   std::unordered_set<std::string> keys_;
-  std::unordered_map<std::string, OwnSubmit> own_;
+  /// The pool in arrival order, and its entries by content key.
+  std::list<Pooled> pool_;
+  std::unordered_map<std::string, std::list<Pooled>::iterator> pooled_;
   CommitHook commit_hook_;
   AppCallback app_cb_;
 

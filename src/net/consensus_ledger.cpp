@@ -1,6 +1,7 @@
 #include "net/consensus_ledger.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -21,6 +22,14 @@ constexpr std::size_t kMaxHeldPerProposer = 2;
 /// Evidence keeps a prefix of each conflicting message, not the whole
 /// (possibly 8 MiB) payload pair.
 constexpr std::size_t kEvidencePrefixBytes = 512;
+/// Vote frame kinds, indexing the ahead-of-height buffer in replay order.
+constexpr std::array<wire::MsgType, 3> kVoteKinds{
+    wire::MsgType::kPrevote, wire::MsgType::kPrecommit, wire::MsgType::kRoundSkip};
+
+std::size_t kind_index(wire::MsgType type) {
+  return static_cast<std::size_t>(
+      std::find(kVoteKinds.begin(), kVoteKinds.end(), type) - kVoteKinds.begin());
+}
 
 codec::Bytes evidence_prefix(codec::ByteView b) {
   const std::size_t n = std::min(b.size(), kEvidencePrefixBytes);
@@ -54,9 +63,7 @@ ConsensusLedger::ConsensusLedger(ConsensusLedgerConfig cfg, sim::Simulation& tim
   tick_interval_ = std::max<sim::Time>(
       sim::from_millis(10), std::min(cfg_.block_interval, cfg_.timeout_propose) / 3);
   masked_.assign(cfg_.n, false);
-  future_.prevotes.assign(cfg_.n, std::nullopt);
-  future_.precommits.assign(cfg_.n, std::nullopt);
-  future_.skips.assign(cfg_.n, std::nullopt);
+  for (auto& slots : future_) slots.assign(cfg_.n, std::nullopt);
 }
 
 void ConsensusLedger::start() {
@@ -119,11 +126,8 @@ ledger::TxIdx ConsensusLedger::append(sim::NodeId origin, ledger::Transaction tx
   (void)origin;  // every tx of this node funnels through its own transport
   const ledger::TxIdx ordinal = chain_.next_ordinal();
   std::string key = tx_dedup_key(tx);
-  if (chain_.committed(key) || mempool_keys_.count(key)) return ordinal;
-  chain_.submit(key, tx);  // gossiped to every peer until committed
-  mempool_keys_.insert(key);
-  mempool_.push_back(MempoolEntry{std::move(key), std::move(tx)});
-  note_work();
+  // Pooled and gossiped to every peer until committed.
+  if (chain_.submit(std::move(key), std::move(tx))) note_work();
   return ordinal;
 }
 
@@ -135,12 +139,10 @@ void ConsensusLedger::on_new_block(sim::NodeId node,
 
 void ConsensusLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
   (void)from;
+  // The pool dedups against history AND itself: peers retransmit until
+  // committed.
   std::string key = tx_dedup_key(m.tx);
-  // Dedup against history AND mempool: peers retransmit until committed.
-  if (chain_.committed(key) || mempool_keys_.count(key)) return;
-  mempool_keys_.insert(key);
-  mempool_.push_back(MempoolEntry{std::move(key), std::move(m.tx)});
-  note_work();
+  if (chain_.accept(std::move(key), std::move(m.tx))) note_work();
 }
 
 bool ConsensusLedger::on_block_frame(codec::ByteView payload) {
@@ -222,24 +224,7 @@ bool ConsensusLedger::on_vote_frame(wire::MsgType type, EndpointId from,
   const std::uint64_t active = active_height();
   if (m.height < active) return true;  // stale: the height already closed
   if (m.height == active + 1) {
-    // One height of lookahead, one slot per voter per frame type: a node one
-    // commit behind re-validates these the moment it catches up instead of
-    // eating a full round timeout.
-    if (type == wire::MsgType::kRoundSkip) {
-      auto& slot = future_.skips[m.voter];
-      if (!slot) {
-        slot = wire::RoundSkipMsg{m.height, m.round, m.voter, m.sig};
-        ++votes_buffered_;
-      }
-    } else {
-      auto& slots = (type == wire::MsgType::kPrevote) ? future_.prevotes
-                                                      : future_.precommits;
-      auto& slot = slots[m.voter];
-      if (!slot) {
-        slot = m;
-        ++votes_buffered_;
-      }
-    }
+    buffer_future(type, m);
     return true;
   }
   if (m.height > active + 1) {
@@ -323,24 +308,9 @@ void ConsensusLedger::apply_vote(wire::MsgType type, const wire::VoteMsg& m,
   // The world may have moved while the vote sat in the verify queue.
   const std::uint64_t active = active_height();
   if (m.height != active) {
-    if (m.height == active + 1) {
-      // A commit landed mid-queue and the vote now points one height ahead
-      // again: re-buffer it instead of dropping it.
-      if (type == wire::MsgType::kRoundSkip) {
-        auto& slot = future_.skips[m.voter];
-        if (!slot) {
-          slot = wire::RoundSkipMsg{m.height, m.round, m.voter, m.sig};
-          ++votes_buffered_;
-        }
-      } else {
-        auto& slots = (type == wire::MsgType::kPrevote) ? future_.prevotes
-                                                        : future_.precommits;
-        if (!slots[m.voter]) {
-          slots[m.voter] = m;
-          ++votes_buffered_;
-        }
-      }
-    }
+    // A commit landed mid-queue and the vote now points one height ahead
+    // again: re-buffer it instead of dropping it.
+    if (m.height == active + 1) buffer_future(type, m);
     return;
   }
   if (m.round > cur_round_ + kMaxRoundsAhead) return;
@@ -367,6 +337,16 @@ void ConsensusLedger::apply_vote(wire::MsgType type, const wire::VoteMsg& m,
   }
 }
 
+void ConsensusLedger::buffer_future(wire::MsgType type, const wire::VoteMsg& m) {
+  // One height of lookahead, one slot per voter per frame type: a node one
+  // commit behind re-validates these the moment it catches up instead of
+  // eating a full round timeout.
+  auto& slot = future_[kind_index(type)][m.voter];
+  if (slot) return;
+  slot = m;
+  ++votes_buffered_;
+}
+
 bool ConsensusLedger::record_vote(std::map<std::uint32_t, RoundVotes>& rounds,
                                   std::uint32_t round, const wire::ProposalHash& hash,
                                   std::uint32_t voter,
@@ -380,12 +360,7 @@ bool ConsensusLedger::record_vote(std::map<std::uint32_t, RoundVotes>& rounds,
     // equivocation. The FIRST recorded vote stands — honest voters vote once
     // per round, so any two 2f+1 quorums still intersect in an honest
     // once-voting node and conflicting commits stay impossible.
-    wire::VoteMsg first;
-    first.height = active_height();
-    first.round = round;
-    first.voter = voter;
-    first.hash = slot.hash;
-    first.sig = slot.sig;
+    const wire::VoteMsg first = slot_vote(round, voter, slot);
     wire::VoteMsg second = first;
     second.hash = hash;
     second.sig = sig;
@@ -473,7 +448,7 @@ void ConsensusLedger::maybe_propose() {
     // Re-offer the lowest held proposal rather than sealing a competing
     // one: one height should converge on one payload.
     broadcast(wire::MsgType::kProposal, proposals_.begin()->second.raw);
-  } else if (!mempool_.empty() && timers_.now() >= next_propose_time_) {
+  } else if (!chain_.pool_empty() && timers_.now() >= next_propose_time_) {
     seal_and_broadcast_fresh();
   } else {
     return;
@@ -483,22 +458,12 @@ void ConsensusLedger::maybe_propose() {
 }
 
 void ConsensusLedger::seal_and_broadcast_fresh() {
-  // Pack up to kMaxBlockBytes of mempool txs in arrival order. The txs
-  // STAY in the mempool until committed — the proposal may lose its round.
-  std::vector<const ledger::Transaction*> block_txs;
-  wire::BlockMsg block;
-  block.height = active_height();
-  block.proposer = cfg_.self;
-  std::uint64_t bytes = 0;
-  for (const auto& entry : mempool_) {
-    const std::uint64_t size = entry.tx.wire_size;
-    if (!block_txs.empty() && bytes + size > kMaxBlockBytes) break;
-    block_txs.push_back(&entry.tx);
-    block.txs.push_back(entry.tx);
-    bytes += size;
-  }
-  codec::Bytes block_bytes =
-      wire::encode_block(block.height, block.proposer, block_txs);
+  // The reaped txs STAY pooled until committed — the proposal may lose its
+  // round.
+  const std::vector<const ledger::Transaction*> reaped = chain_.reap();
+  wire::BlockMsg block{active_height(), cfg_.self, {}};
+  for (const ledger::Transaction* tx : reaped) block.txs.push_back(*tx);
+  codec::Bytes block_bytes = wire::encode_block(block.height, block.proposer, reaped);
   codec::Bytes raw =
       wire::encode_signed_proposal(block_bytes, sign_proposal(block_bytes));
 
@@ -507,17 +472,13 @@ void ConsensusLedger::seal_and_broadcast_fresh() {
     // the same height and split the peers. We hold (and retransmit) the
     // honest payload ourselves, so receivers of the alternate eventually see
     // both and mask us.
-    wire::BlockMsg alt = block;
-    std::vector<const ledger::Transaction*> alt_txs = block_txs;
+    std::vector<const ledger::Transaction*> alt_txs = reaped;
     if (alt_txs.size() >= 2) {
       std::reverse(alt_txs.begin(), alt_txs.end());
-      std::reverse(alt.txs.begin(), alt.txs.end());
     } else {
       alt_txs.clear();
-      alt.txs.clear();
     }
-    codec::Bytes alt_bytes =
-        wire::encode_block(alt.height, alt.proposer, alt_txs);
+    codec::Bytes alt_bytes = wire::encode_block(block.height, block.proposer, alt_txs);
     codec::Bytes alt_raw =
         wire::encode_signed_proposal(alt_bytes, sign_proposal(alt_bytes));
     broadcast_split(wire::MsgType::kProposal, raw, alt_raw);
@@ -533,7 +494,7 @@ void ConsensusLedger::seal_and_broadcast_fresh() {
 }
 
 void ConsensusLedger::maybe_prevote() {
-  if (my_prevotes_.count(cur_round_)) return;
+  if (own_vote(prevotes_, cur_round_)) return;
   wire::ProposalHash hash;
   if (lock_hash_) {
     hash = *lock_hash_;  // locked nodes only ever prevote their lock
@@ -548,7 +509,6 @@ void ConsensusLedger::maybe_prevote() {
   m.voter = cfg_.self;
   m.hash = hash;
   m.sig = sign_vote(wire::MsgType::kPrevote, m);
-  my_prevotes_[cur_round_] = m;
   record_vote(prevotes_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrevote, wire::encode_vote(m));
   if (cfg_.byzantine) {
@@ -574,24 +534,19 @@ void ConsensusLedger::check_polka() {
   std::vector<std::pair<std::uint32_t, wire::ProposalHash>> to_precommit;
   for (const auto& [round, rv] : prevotes_) {
     if (round > cur_round_) break;
-    std::map<wire::ProposalHash, std::uint32_t> tally;
-    for (const VoteSlot& slot : rv) {
-      if (slot.set) ++tally[slot.hash];
-    }
-    for (const auto& [hash, count] : tally) {
-      if (count < quorum()) continue;
+    for (const wire::ProposalHash& hash : quorum_hashes(rv)) {
       if (!lock_hash_ || round >= lock_round_) {
         lock_hash_ = hash;
         lock_round_ = round;
       }
-      if (!my_precommits_.count(round)) to_precommit.emplace_back(round, hash);
+      if (!own_vote(precommits_, round)) to_precommit.emplace_back(round, hash);
     }
   }
   const std::uint64_t height_before = chain_.height();
   for (const auto& [round, hash] : to_precommit) {
     // Committed: the remaining votes are for a closed height.
     if (chain_.height() != height_before) break;
-    if (!my_precommits_.count(round)) send_precommit(round, hash);
+    if (!own_vote(precommits_, round)) send_precommit(round, hash);
   }
 }
 
@@ -603,7 +558,6 @@ void ConsensusLedger::send_precommit(std::uint32_t round,
   m.voter = cfg_.self;
   m.hash = hash;
   m.sig = sign_vote(wire::MsgType::kPrecommit, m);
-  my_precommits_[round] = m;
   record_vote(precommits_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrecommit, wire::encode_vote(m));
   if (cfg_.byzantine) {
@@ -615,21 +569,47 @@ void ConsensusLedger::send_precommit(std::uint32_t round,
   try_commit();
 }
 
+std::vector<wire::ProposalHash> ConsensusLedger::quorum_hashes(
+    const RoundVotes& rv) const {
+  std::map<wire::ProposalHash, std::uint32_t> tally;
+  for (const VoteSlot& slot : rv) {
+    if (slot.set) ++tally[slot.hash];
+  }
+  std::vector<wire::ProposalHash> hashes;
+  for (const auto& [hash, count] : tally) {
+    if (count >= quorum()) hashes.push_back(hash);
+  }
+  return hashes;
+}
+
+wire::VoteMsg ConsensusLedger::slot_vote(std::uint32_t round, std::uint32_t voter,
+                                         const VoteSlot& slot) const {
+  wire::VoteMsg m;
+  m.height = active_height();
+  m.round = round;
+  m.voter = voter;
+  m.hash = slot.hash;
+  m.sig = slot.sig;
+  return m;
+}
+
+std::optional<wire::VoteMsg> ConsensusLedger::own_vote(
+    const std::map<std::uint32_t, RoundVotes>& rounds, std::uint32_t round) const {
+  const auto it = rounds.find(round);
+  if (it == rounds.end() || !it->second[cfg_.self].set) return std::nullopt;
+  return slot_vote(round, cfg_.self, it->second[cfg_.self]);
+}
+
 void ConsensusLedger::try_commit() {
   for (const auto& [round, rv] : precommits_) {
-    std::map<wire::ProposalHash, std::uint32_t> tally;
-    for (const VoteSlot& slot : rv) {
-      if (slot.set) ++tally[slot.hash];
-    }
-    for (const auto& [hash, count] : tally) {
-      if (count < quorum()) continue;
+    for (const wire::ProposalHash& hash : quorum_hashes(rv)) {
       const auto it = proposals_.find(hash);
       if (it == proposals_.end()) continue;  // retransmission will deliver it
       // Assemble the commit certificate from the quorum's own signatures
       // (slots are voter-indexed, so the voter ids come out ascending — the
       // strictly-increasing wire rule holds by construction).
       std::vector<wire::CommitVote> cert_votes;
-      cert_votes.reserve(count);
+      cert_votes.reserve(quorum());
       for (std::uint32_t voter = 0; voter < cfg_.n; ++voter) {
         const VoteSlot& slot = rv[voter];
         if (slot.set && slot.hash == hash) {
@@ -678,11 +658,11 @@ void ConsensusLedger::retransmit() {
     }
     broadcast(wire::MsgType::kProposal, it->second.raw);
   }
-  if (const auto it = my_prevotes_.find(cur_round_); it != my_prevotes_.end()) {
-    broadcast(wire::MsgType::kPrevote, wire::encode_vote(it->second));
+  if (const auto v = own_vote(prevotes_, cur_round_)) {
+    broadcast(wire::MsgType::kPrevote, wire::encode_vote(*v));
   }
-  if (const auto it = my_precommits_.find(cur_round_); it != my_precommits_.end()) {
-    broadcast(wire::MsgType::kPrecommit, wire::encode_vote(it->second));
+  if (const auto v = own_vote(precommits_, cur_round_)) {
+    broadcast(wire::MsgType::kPrecommit, wire::encode_vote(*v));
   }
 }
 
@@ -690,36 +670,21 @@ void ConsensusLedger::commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw
   // The chain WAL-logs the exact CERTIFIED payload (covers both the
   // vote-quorum and the sync-response commit paths): recovery and sync
   // receivers re-verify the certificate instead of trusting the bytes.
-  // Then the application callback runs.
+  // Then the application callback runs. The block's txs leave the pool.
   chain_.commit(block.height, block.proposer, std::move(block.txs), std::move(cert_raw));
-
-  // Prune what just committed from the mempool.
-  if (!mempool_.empty()) {
-    std::deque<MempoolEntry> kept;
-    for (auto& entry : mempool_) {
-      if (chain_.committed(entry.key)) {
-        mempool_keys_.erase(entry.key);
-      } else {
-        kept.push_back(std::move(entry));
-      }
-    }
-    mempool_.swap(kept);
-  }
 
   // Fresh height: all consensus state was scoped to the one we just closed.
   // The masked set and evidence are NOT reset — equivocation is forever.
   proposals_.clear();
   prevotes_.clear();
   precommits_.clear();
-  my_prevotes_.clear();
-  my_precommits_.clear();
   proposed_rounds_.clear();
   skip_want_.assign(cfg_.n, 0);
   lock_hash_.reset();
   lock_round_ = 0;
   cur_round_ = 0;
   forged_this_height_ = false;
-  work_seen_ = !mempool_.empty();
+  work_seen_ = !chain_.pool_empty();
   const sim::Time now = timers_.now();
   round_deadline_ = now + cfg_.timeout_propose;
   retry_attempt_ = 0;
@@ -731,24 +696,15 @@ void ConsensusLedger::commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw
 }
 
 void ConsensusLedger::replay_buffered_votes() {
-  FutureVotes buffered;
-  buffered.prevotes.swap(future_.prevotes);
-  buffered.precommits.swap(future_.precommits);
-  buffered.skips.swap(future_.skips);
-  future_.prevotes.assign(cfg_.n, std::nullopt);
-  future_.precommits.assign(cfg_.n, std::nullopt);
-  future_.skips.assign(cfg_.n, std::nullopt);
+  const FutureVotes buffered = std::move(future_);
+  for (auto& slots : future_) slots.assign(cfg_.n, std::nullopt);
   // Feed buffered votes back through the normal frame path: the identity
   // gate, height checks and signature verification all re-run (the buffer
   // holds claims, not facts).
-  for (const auto& v : buffered.prevotes) {
-    if (v) on_prevote(v->voter, *v);
-  }
-  for (const auto& v : buffered.precommits) {
-    if (v) on_precommit(v->voter, *v);
-  }
-  for (const auto& s : buffered.skips) {
-    if (s) on_round_skip(s->voter, *s);
+  for (std::size_t k = 0; k < kVoteKinds.size(); ++k) {
+    for (const auto& v : buffered[k]) {
+      if (v) on_vote_frame(kVoteKinds[k], v->voter, *v);
+    }
   }
 }
 
@@ -881,7 +837,7 @@ bool ConsensusLedger::restore_block(codec::ByteView payload) {
   auto prop = check_certified(payload);
   if (!prop) return false;
   if (prop->block.height != active_height()) return false;
-  // Reuse the sync-response commit path. The mempool is empty during
+  // Reuse the sync-response commit path. The pool is empty during
   // recovery, so the propose / prevote kicks at the end of commit_block are
   // no-ops, and the commit hook is not installed yet, so nothing is
   // re-logged. Not-yet-started: skip_want_ may be empty, which assign() in

@@ -1,11 +1,10 @@
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/pki.hpp"
@@ -31,7 +30,7 @@ struct ConsensusLedgerConfig {
   std::uint32_t f = 1;  ///< fault-tolerance target (n >= 3f+1)
   std::uint32_t self = 0;
   /// Pacing for FRESH proposals: a proposer seals a new block from its
-  /// mempool at most this often (same role as the sequencer's seal tick).
+  /// pool at most this often (same role as the sequencer's seal tick).
   sim::Time block_interval = sim::from_millis(150);
   /// Round liveness timeout: if a height has work pending and no block
   /// committed for this long, broadcast a round-skip (the proposer looks
@@ -116,10 +115,11 @@ struct ConsensusLedgerConfig {
 ///    no longer eats a full timeout because its peers' precommits arrived
 ///    early (votes_buffered() / votes_dropped_ahead() count the traffic).
 ///  * Submissions gossip: append() hands the tx to CommittedChain::submit,
-///    which broadcasts kTxSubmit to every peer and retransmits with capped
-///    backoff until the tx's content key lands in a committed block;
-///    receivers dedup against mempool + committed history, and commits
-///    prune the mempool — P10 inclusion without a distinguished node.
+///    which pools it, broadcasts kTxSubmit to every peer and retransmits
+///    with capped backoff until the tx's content key lands in a committed
+///    block; receivers pool it (deduped against pool + committed history),
+///    a fresh proposal reaps the pool, and commits prune it — P10 inclusion
+///    without a distinguished node.
 ///  * Catch-up: commits are handed to the shared CommittedChain as CERTIFIED
 ///    blocks (proposal + the 2f+1 signed precommits that committed it),
 ///    which WAL-logs them and serves them byte-identical to rotating
@@ -189,10 +189,6 @@ class ConsensusLedger final : public IWireLedger {
   }
 
  private:
-  struct MempoolEntry {
-    std::string key;  ///< tx_dedup_key
-    ledger::Transaction tx;
-  };
   struct HeldProposal {
     wire::BlockMsg block;
     codec::Bytes raw;  ///< exact payload bytes (hash preimage; retransmit unit)
@@ -214,13 +210,11 @@ class ConsensusLedger final : public IWireLedger {
     codec::Bytes transcript;  ///< signing transcript (stable for the batch)
   };
 
-  /// Buffered votes for height active+1, one slot per voter per frame
-  /// type; replayed through the normal handlers when the height advances.
-  struct FutureVotes {
-    std::vector<std::optional<wire::VoteMsg>> prevotes;
-    std::vector<std::optional<wire::VoteMsg>> precommits;
-    std::vector<std::optional<wire::RoundSkipMsg>> skips;
-  };
+  /// Buffered votes for height active+1: per frame kind (prevote,
+  /// precommit, skip — a skip rides a VoteMsg with the hash zeroed), one
+  /// slot per voter; replayed through the frame path when the height
+  /// advances.
+  using FutureVotes = std::array<std::vector<std::optional<wire::VoteMsg>>, 3>;
 
   std::uint32_t quorum() const { return 2 * cfg_.f + 1; }
   std::uint32_t skip_quorum() const { return cfg_.f + 1; }
@@ -231,6 +225,14 @@ class ConsensusLedger final : public IWireLedger {
   void maybe_prevote();
   void check_polka();
   void try_commit();
+  /// Hashes holding a 2f+1 quorum of one round's votes, lowest first.
+  std::vector<wire::ProposalHash> quorum_hashes(const RoundVotes& rv) const;
+  /// The signed vote `voter`'s slot records for `round` at the active height.
+  wire::VoteMsg slot_vote(std::uint32_t round, std::uint32_t voter,
+                          const VoteSlot& slot) const;
+  /// This node's own vote in `round`: the self slot, the only record of it.
+  std::optional<wire::VoteMsg> own_vote(const std::map<std::uint32_t, RoundVotes>& rounds,
+                                        std::uint32_t round) const;
   void retransmit();
   void note_work();  ///< first work for this height arms the round deadline
   void broadcast(wire::MsgType type, codec::ByteView payload);
@@ -246,6 +248,8 @@ class ConsensusLedger final : public IWireLedger {
   /// buffering, then the batch-verify queue. `type` selects the handler the
   /// verified vote is applied through.
   bool on_vote_frame(wire::MsgType type, EndpointId from, const wire::VoteMsg& m);
+  /// Hold a vote for height active+1 in its voter's slot (first one wins).
+  void buffer_future(wire::MsgType type, const wire::VoteMsg& m);
   void enqueue_verify(wire::MsgType type, const wire::VoteMsg& m);
   void drain_verify();
   /// Apply one signature-checked vote (or reject it). Re-validates height /
@@ -275,19 +279,15 @@ class ConsensusLedger final : public IWireLedger {
   sim::Simulation& timers_;
   ITransport& transport_;
   sim::Time tick_interval_ = 0;
-  /// Committed CERTIFIED blocks, sync and retransmission of own submits.
+  /// The tx pool (gossip-fed, pruned at commit), committed CERTIFIED
+  /// blocks, sync and retransmission of own submits.
   CommittedChain chain_;
-
-  // Mempool (gossip-fed, pruned at commit).
-  std::deque<MempoolEntry> mempool_;
-  std::unordered_set<std::string> mempool_keys_;
 
   // Per-height consensus state, reset by commit_block.
   std::map<wire::ProposalHash, HeldProposal> proposals_;  ///< begin() = lowest hash
+  /// Round -> voter-indexed slots; slot cfg_.self holds this node's vote.
   std::map<std::uint32_t, RoundVotes> prevotes_;
   std::map<std::uint32_t, RoundVotes> precommits_;
-  std::map<std::uint32_t, wire::VoteMsg> my_prevotes_;    ///< round -> vote sent
-  std::map<std::uint32_t, wire::VoteMsg> my_precommits_;  ///< round -> vote sent
   std::set<std::uint32_t> proposed_rounds_;
   /// skip_want_[i] = 1 + highest round node i asked to skip (0 = none):
   /// f+1 nodes with skip_want_ > cur_round_ advance the round.

@@ -9,7 +9,8 @@ CommittedChainConfig chain_config(const ReplicatedLedgerConfig& cfg) {
   CommittedChainConfig c;
   c.n = cfg.n;
   c.self = cfg.self;
-  c.submit_to = {ReplicatedLedger::kSequencer};  // only the sequencer orders
+  // Only the sequencer orders: replicas submit to it, it submits to no one.
+  if (cfg.self != ReplicatedLedger::kSequencer) c.submit_to = {ReplicatedLedger::kSequencer};
   c.sync_interval = cfg.sync_interval;
   c.retry_interval = cfg.retry_interval;
   return c;
@@ -37,20 +38,12 @@ void ReplicatedLedger::start() {
 ledger::TxIdx ReplicatedLedger::append(sim::NodeId origin, ledger::Transaction tx) {
   (void)origin;  // every tx of this node funnels through its own transport
   const ledger::TxIdx ordinal = chain_.next_ordinal();
+  // The pool drops content that already committed (recovery replay
+  // re-appends the proofs the previous life of this process published) or
+  // is already pooled. The sequencer has no submit peers, so its own work
+  // simply waits in the pool next to the replicas' submits.
   std::string key = tx_dedup_key(tx);
-  // Recovery replay re-appends the proofs the previous life of this process
-  // already published (byte-identical, thanks to deterministic signatures):
-  // drop anything whose content already committed.
-  if (chain_.committed(key)) return ordinal;
-  if (is_sequencer()) {
-    // Locally ordered work shares the dedup set with forwarded submits, so
-    // a local re-append and a replica's retransmission of the same content
-    // can never be sealed twice.
-    if (!pending_keys_.insert(key).second) return ordinal;
-    pending_.push_back(PendingTx{std::move(key), std::move(tx)});
-  } else {
-    chain_.submit(std::move(key), tx);
-  }
+  chain_.submit(std::move(key), std::move(tx));
   return ordinal;
 }
 
@@ -67,31 +60,17 @@ void ReplicatedLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
   // so the same tx may arrive many times — long after it was sealed, or
   // even after a restart (the committed keys restore from the snapshot).
   std::string key = tx_dedup_key(m.tx);
-  if (chain_.committed(key) || !pending_keys_.insert(key).second) return;
-  pending_.push_back(PendingTx{std::move(key), std::move(m.tx)});
+  chain_.accept(std::move(key), std::move(m.tx));
 }
 
 void ReplicatedLedger::seal_tick() {
   timers_.schedule_in(cfg_.block_interval, [this] { seal_tick(); });
-  if (pending_.empty()) return;  // create_empty_blocks=false behaviour
-
-  // Pack up to kMaxBlockBytes of submissions, in arrival order.
-  std::vector<ledger::Transaction> txs;
-  std::uint64_t bytes = 0;
-  while (!pending_.empty()) {
-    PendingTx& next = pending_.front();
-    const std::uint64_t size = next.tx.wire_size;
-    if (!txs.empty() && bytes + size > kMaxBlockBytes) break;
-    bytes += size;
-    pending_keys_.erase(next.key);
-    txs.push_back(std::move(next.tx));
-    pending_.pop_front();
-  }
-  std::vector<const ledger::Transaction*> tx_ptrs;
-  tx_ptrs.reserve(txs.size());
-  for (const auto& tx : txs) tx_ptrs.push_back(&tx);
+  const std::vector<const ledger::Transaction*> reaped = chain_.reap();
+  if (reaped.empty()) return;  // create_empty_blocks=false behaviour
   const std::uint64_t height = chain_.height() + 1;
-  codec::Bytes payload = wire::encode_block(height, cfg_.self, tx_ptrs);
+  codec::Bytes payload = wire::encode_block(height, cfg_.self, reaped);
+  std::vector<ledger::Transaction> txs;
+  for (const ledger::Transaction* tx : reaped) txs.push_back(*tx);
 
   // Commit (WAL write) BEFORE the broadcast: once a peer has seen this
   // block, a crash must not let the restarted sequencer re-seal the height

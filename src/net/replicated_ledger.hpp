@@ -1,9 +1,6 @@
 #pragma once
 
-#include <deque>
 #include <map>
-#include <string>
-#include <unordered_set>
 
 #include "net/committed_chain.hpp"
 #include "net/wire_ledger.hpp"
@@ -27,16 +24,16 @@ struct ReplicatedLedgerConfig {
 /// epoch progress (deploy ConsensusLedger when the paper's f-tolerance
 /// matters).
 ///
-///  * append(tx): local on the sequencer; on a replica, a kTxSubmit to the
-///    sequencer, retransmitted until the tx commits (the sequencer dedups
-///    by content hash, so retries are safe).
-///  * The sequencer seals pending txs into a block every block_interval,
+///  * append(tx): into the pool; a replica also sends it to the sequencer
+///    as a kTxSubmit, retransmitted until the tx commits (the sequencer
+///    dedups by content hash, so retries are safe).
+///  * The sequencer reaps its pool into a block every block_interval,
 ///    commits it (WAL first) and broadcasts the kBlock frame; replicas
 ///    commit blocks in height order, buffering holes until the rotating
 ///    sync pull fills them.
 ///
-/// Everything after ordering — tx table, stored payloads, sync serving,
-/// retransmission, snapshot state — is the shared CommittedChain.
+/// Everything but ordering — pool, retransmission, tx table, stored
+/// payloads, sync serving, snapshot state — is the shared CommittedChain.
 class ReplicatedLedger final : public IWireLedger {
  public:
   static constexpr std::uint32_t kSequencer = 0;
@@ -72,11 +69,6 @@ class ReplicatedLedger final : public IWireLedger {
   bool restore_block(codec::ByteView payload) override;
 
  private:
-  struct PendingTx {
-    std::string key;  ///< tx_dedup_key
-    ledger::Transaction tx;
-  };
-
   void seal_tick();
   /// Buffer a parsed-valid kBlock payload and commit whatever is in order.
   void ingest(std::uint64_t height, codec::ByteView payload);
@@ -86,10 +78,6 @@ class ReplicatedLedger final : public IWireLedger {
   ITransport& transport_;
   CommittedChain chain_;
 
-  /// Sequencer: unsealed submissions in arrival order, and their keys, so a
-  /// retransmitted submit can never be sealed twice.
-  std::deque<PendingTx> pending_;
-  std::unordered_set<std::string> pending_keys_;
   /// Replica: kBlock payloads above the next height, awaiting their hole.
   std::map<std::uint64_t, codec::Bytes> buffered_;
   std::uint64_t blocks_broadcast_ = 0;

@@ -478,6 +478,11 @@ codec::Bytes encode_tx_submit(const ledger::Transaction& tx) {
   return w.take();
 }
 
+std::uint64_t tx_encoded_size(const ledger::Transaction& tx) {
+  return 1 + codec::varint_size(tx.wire_size) + codec::varint_size(tx.data.size()) +
+         tx.data.size();
+}
+
 std::optional<TxSubmit> parse_tx_submit(codec::ByteView payload) {
   codec::Reader r(payload);
   auto tx = get_tx(r);

@@ -259,6 +259,9 @@ struct TxSubmit {
 };
 codec::Bytes encode_tx_submit(const ledger::Transaction& tx);
 std::optional<TxSubmit> parse_tx_submit(codec::ByteView payload);
+/// Encoded size of `tx`: its kTxSubmit payload, and its share of a block.
+/// Unlike `wire_size` (the sender's claim), this is what the bytes measure.
+std::uint64_t tx_encoded_size(const ledger::Transaction& tx);
 
 /// kBlock: height varint, proposer varint, tx count varint, txs (kTxSubmit
 /// triple each). Heights are 1-based and delivered in order at every node.

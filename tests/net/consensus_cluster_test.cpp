@@ -6,9 +6,10 @@
 // malformed or mode-mismatched frames without poisoning a node, and (d)
 // survive a fully Byzantine member — equivocating proposals, double votes,
 // forged votes, junk sync, corrupted frames — by masking the equivocator
-// and staying conformant on the honest majority. The fixed
-// sequencer's lost-submit retransmission regression rides along: a submit
-// window cut mid-flight must heal by resubmission, not luck.
+// and staying conformant on the honest majority. Two regressions ride
+// along: a submit window cut mid-flight must heal by resubmission, not
+// luck, under both ledger modes; and oversized txs must neither overfill
+// nor wedge a block.
 #include "net/consensus_ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -557,11 +558,112 @@ TEST(ConsensusRobustness, JunkSyncResponsesAreRejectedAndCounted) {
   ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
 }
 
-// Satellite regression for the fixed-sequencer mode: a replica's kTxSubmit
-// stream severed mid-flight (100% drop of replica->sequencer frames for a
-// window) must heal by capped-backoff retransmission — before this fix a
-// lost submit was silently gone and the element never committed.
-TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
+// An opaque kTxSubmit of `bytes` data bytes claiming `claimed_size`, from
+// node 3 to every other server: what a Byzantine member can inject.
+void inject_opaque_tx(ConsensusCluster& cl, std::size_t bytes, std::uint32_t claimed_size,
+                      std::uint8_t fill) {
+  ledger::Transaction tx;
+  tx.kind = ledger::TxKind::kOpaque;
+  tx.wire_size = claimed_size;
+  tx.data.assign(bytes, fill);
+  const codec::Bytes payload = wire::encode_tx_submit(tx);
+  for (std::uint32_t to = 0; to < 3; ++to) {
+    cl.hub.transport(3).send(to, wire::MsgType::kTxSubmit, payload);
+  }
+}
+
+// Blocks are packed by encoded tx bytes, not by the sender-claimed
+// wire_size: three 300 KB txs claiming one byte each must commit in three
+// blocks, none of them over kMaxBlockBytes.
+TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
+  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  std::size_t largest_block = 0;
+  cl.start();
+  cl.hosts[0]->ledger().set_commit_hook([&](std::uint64_t, codec::ByteView payload) {
+    const auto cert = wire::parse_certified_block(payload);
+    ASSERT_TRUE(cert.has_value());
+    const auto prop = wire::parse_proposal(cert->proposal);
+    ASSERT_TRUE(prop.has_value());
+    largest_block = std::max(largest_block, prop->block_bytes_len);
+  });
+  for (std::uint8_t i = 0; i < 3; ++i) inject_opaque_tx(cl, 300'000, 1, i);
+
+  const auto big_committed = [&] {
+    const ledger::TxTable& txs = cl.hosts[0]->ledger().txs();
+    std::size_t big = 0;
+    for (ledger::TxIdx i = 0; i < txs.size(); ++i) {
+      if (txs.get(i).data.size() == 300'000) ++big;
+    }
+    return big;
+  };
+  ASSERT_TRUE(cl.pump_until([&] { return big_committed() == 3; }, 30))
+      << "committed " << big_committed() << " of the 3 large txs";
+  EXPECT_GE(cl.hosts[0]->ledger().height(), 3u);
+  EXPECT_LE(largest_block, kMaxBlockBytes + 16) << "a block overran the block cap";
+}
+
+// A tx too large for any block is refused at the pool. Admitted, it would
+// wedge the cluster: every honest proposer reaps it first and seals a
+// proposal no frame can carry.
+TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
+  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  cl.start();
+  inject_opaque_tx(cl, wire::kMaxPayloadBytes - 16, 1, 0x7E);
+
+  const auto elements = make_workload(cl.cfg, 5, cl.pki);
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  const auto accepted = drive(client, elements);
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }, 30))
+      << "honest elements stalled behind an unblockable tx (height "
+      << cl.hosts[0]->ledger().height() << ")";
+  const ledger::TxTable& txs = cl.hosts[0]->ledger().txs();
+  for (ledger::TxIdx i = 0; i < txs.size(); ++i) {
+    EXPECT_LT(txs.get(i).data.size(), kMaxBlockBytes);
+  }
+}
+
+// A node's transport with its outbound kTxSubmit frames cut during
+// [from, to): the submit path, and only it, goes dark for a window.
+class TxSubmitCut final : public ITransport {
+ public:
+  TxSubmitCut(ITransport& inner, sim::Simulation& sim, sim::Time from, sim::Time to)
+      : inner_(inner), sim_(sim), from_(from), to_(to) {}
+
+  void set_handler(FrameHandler handler) override { inner_.set_handler(std::move(handler)); }
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    if (type == wire::MsgType::kTxSubmit && sim_.now() >= from_ && sim_.now() < to_) {
+      ++cut_;
+      return true;  // lost in flight: the sender cannot tell
+    }
+    return inner_.send(to, type, payload);
+  }
+  std::size_t poll(std::chrono::milliseconds max_wait) override {
+    return inner_.poll(max_wait);
+  }
+  std::uint32_t self() const override { return inner_.self(); }
+  Counters counters() const override { return inner_.counters(); }
+  std::uint64_t cut() const { return cut_; }
+
+ private:
+  ITransport& inner_;
+  sim::Simulation& sim_;
+  sim::Time from_;
+  sim::Time to_;
+  std::uint64_t cut_ = 0;
+};
+
+class OwnSubmitResubmission : public ::testing::TestWithParam<runner::LedgerMode> {};
+
+// Own-submission retransmission, under both ordering policies: node 2's
+// kTxSubmit stream is severed mid-flight for 2.4 s, and every element is
+// added through node 2 alone, so its submits are the only way into a block
+// (in consensus mode node 2 pools them too, but height 1 is node 1's to
+// propose, and the round timeout outlasts the test, so no round skip hands
+// node 2 a turn). Commits must come
+// from capped-backoff retransmission — a lost submit was once silently gone
+// and the element never committed.
+TEST_P(OwnSubmitResubmission, LostSubmitWindowHealsByRetransmission) {
   sim::Simulation sim;
   LoopbackHub hub(sim, 4);
   NodeHostConfig cfg;
@@ -573,19 +675,17 @@ TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
   cfg.block_interval = sim::from_millis(150);
   cfg.sync_interval = sim::from_millis(400);
   cfg.retry_interval = sim::from_millis(300);
-
-  sim::FaultPlan plan;
-  plan.faults.push_back(sim::Fault::drop(/*from=*/2, /*to=*/0,
-                                         /*probability=*/1.0,
-                                         sim::from_millis(100),
-                                         sim::from_millis(2500)));
-  hub.install_faults(plan, /*seed=*/5);
+  cfg.ledger_mode = GetParam();
+  cfg.timeout_propose = sim::from_seconds(120);
+  TxSubmitCut node2_transport(hub.transport(2), sim, sim::from_millis(100),
+                              sim::from_millis(2500));
 
   std::vector<std::unique_ptr<NodeHost>> hosts;
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     NodeHostConfig c = cfg;
     c.id = i;
-    hosts.push_back(std::make_unique<NodeHost>(c, sim, hub.transport(i)));
+    ITransport& t = (i == 2) ? static_cast<ITransport&>(node2_transport) : hub.transport(i);
+    hosts.push_back(std::make_unique<NodeHost>(c, sim, t));
     hosts.back()->start();
   }
   crypto::Pki pki(cfg.seed);
@@ -593,11 +693,9 @@ TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
     pki.register_process(p);
   }
 
-  // Add ONLY through node 2: every element's path to the ledger is the
-  // droppable 2->0 submit link — commits prove retransmission, not luck.
   RemoteNode node2(std::make_unique<LoopbackRpcChannel>(hub, 2), 2);
   const auto elements = make_workload(cfg, 8, pki);
-  sim.run_until(sim.now() + sim::from_millis(150));  // enter the drop window
+  sim.run_until(sim.now() + sim::from_millis(150));  // enter the cut window
   for (const auto& e : elements) EXPECT_TRUE(node2.add(e));
 
   const auto consolidated = [&] {
@@ -613,9 +711,8 @@ TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
   while (sim.now() < deadline && !consolidated()) {
     sim.run_until(sim.now() + sim::from_millis(250));
   }
-  ASSERT_NE(hub.faults(), nullptr);
-  EXPECT_GT(hub.faults()->stats().dropped_random, 0u)
-      << "the drop window never saw a submit — the regression is untested";
+  EXPECT_GT(node2_transport.cut(), 0u)
+      << "the cut window never saw a submit — the regression is untested";
   EXPECT_TRUE(consolidated())
       << "elements submitted through the severed link never committed";
   const auto safety = core::check_safety(
@@ -623,6 +720,13 @@ TEST(SequencerResubmission, LostSubmitWindowHealsByRetransmission) {
        &hosts[3]->server()});
   EXPECT_TRUE(safety.ok()) << safety.to_string();
 }
+
+INSTANTIATE_TEST_SUITE_P(BothModes, OwnSubmitResubmission,
+                         ::testing::Values(runner::LedgerMode::kFixedSequencer,
+                                           runner::LedgerMode::kConsensus),
+                         [](const auto& info) {
+                           return std::string(runner::ledger_mode_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace setchain::net

@@ -50,13 +50,9 @@ struct Options {
   std::vector<load::Target> extern_nodes;  // non-empty = external cluster
   std::uint32_t sessions = 64;
   std::uint32_t window = 8;
-  std::uint32_t max_pending = 256;
   std::vector<double> rates = {0};   // one phase per rate; 0 = closed loop
   double duration_s = 5.0;
   load::ArrivalKind arrival = load::ArrivalKind::kPoisson;
-  double burst_on_s = 1.0;
-  double burst_off_s = 4.0;
-  double burst_rate = 0;
   std::string workload = "kv";
   runner::Algorithm algo = runner::Algorithm::kHashchain;
   runner::LedgerMode ledger = runner::LedgerMode::kFixedSequencer;
@@ -89,9 +85,8 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--nodes N | --node host:port ...] [--sessions S]\n"
-      "  [--window W] [--max-pending P] [--rate R | --rates r1,r2,...]\n"
-      "  [--arrival poisson|uniform|burst] [--burst-on S] [--burst-off S]\n"
-      "  [--burst-rate R] [--duration-s D] [--workload kv|rollup]\n"
+      "  [--window W] [--rate R | --rates r1,r2,...]\n"
+      "  [--arrival poisson|uniform|burst] [--duration-s D] [--workload kv|rollup]\n"
       "  [--algo vanilla|compresschain|hashchain] [--ledger sequencer|consensus]\n"
       "  [--seed N] [--fraud-window E] [--dishonest-operator] [--settle-s S]\n"
       "  [--json PATH] [--check] [--smoke]\n",
@@ -127,7 +122,6 @@ int main(int argc, char** argv) {
       opt.extern_nodes.push_back(load::Target{host, port});
     } else if (a == "--sessions") opt.sessions = static_cast<std::uint32_t>(std::stoul(next()));
     else if (a == "--window") opt.window = static_cast<std::uint32_t>(std::stoul(next()));
-    else if (a == "--max-pending") opt.max_pending = static_cast<std::uint32_t>(std::stoul(next()));
     else if (a == "--rate") opt.rates = {std::stod(next())};
     else if (a == "--rates") {
       if (!parse_rates(next(), opt.rates)) return usage(argv[0]);
@@ -137,10 +131,7 @@ int main(int argc, char** argv) {
       else if (k == "uniform") opt.arrival = load::ArrivalKind::kUniform;
       else if (k == "burst") opt.arrival = load::ArrivalKind::kBurst;
       else return usage(argv[0]);
-    } else if (a == "--burst-on") opt.burst_on_s = std::stod(next());
-    else if (a == "--burst-off") opt.burst_off_s = std::stod(next());
-    else if (a == "--burst-rate") opt.burst_rate = std::stod(next());
-    else if (a == "--duration-s") opt.duration_s = std::stod(next());
+    } else if (a == "--duration-s") opt.duration_s = std::stod(next());
     else if (a == "--workload") {
       opt.workload = next();
       if (opt.workload != "kv" && opt.workload != "rollup") return usage(argv[0]);
@@ -241,7 +232,6 @@ int main(int argc, char** argv) {
   fc.cluster = cluster;
   fc.sessions = opt.sessions;
   fc.window = opt.window;
-  fc.max_pending = opt.max_pending;
   load::LoadFleet fleet(fc);
   const std::uint32_t connected = fleet.connect();
 
@@ -266,9 +256,6 @@ int main(int argc, char** argv) {
     load::ArrivalConfig ac;
     ac.kind = opt.arrival;
     ac.rate = rate;
-    ac.burst_on_s = opt.burst_on_s;
-    ac.burst_off_s = opt.burst_off_s;
-    ac.burst_rate = opt.burst_rate;
     ac.seed = opt.seed + phases.size();
     phases.push_back(fleet.run_phase(source, ac, opt.duration_s));
   }
@@ -329,7 +316,7 @@ int main(int argc, char** argv) {
   w.kv("self_boot", self_boot);
   w.kv("sessions", opt.sessions);
   w.kv("window", opt.window);
-  w.kv("max_pending", opt.max_pending);
+  w.kv("max_pending", fc.max_pending);
   w.kv("workload", opt.workload);
   w.kv("arrival", load::arrival_kind_name(opt.arrival));
   w.kv("algo", runner::algorithm_name(opt.algo));
