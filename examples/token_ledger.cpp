@@ -27,6 +27,7 @@ struct Chain {
   core::SetchainParams params;
   crypto::Pki pki{31337};
   ledger::InstantLedger ledger{kServers};
+  core::InProcessBatchExchange exchange;  // synchronous, in-process
   std::vector<std::unique_ptr<core::HashchainServer>> servers;
   std::vector<std::unique_ptr<exec::EpochExecutor>> executors;
 
@@ -40,7 +41,6 @@ struct Chain {
     pki.register_process(100);  // alice's wallet
     pki.register_process(101);  // bob's wallet
 
-    std::vector<core::HashchainServer*> peers;
     for (std::uint32_t i = 0; i < kServers; ++i) {
       auto ex = std::make_unique<exec::EpochExecutor>();
       ex->genesis(kAlice, 1000);
@@ -52,6 +52,7 @@ struct Chain {
       core::ServerContext ctx;
       ctx.ledger = &ledger;
       ctx.pki = &pki;
+      ctx.batch_exchange = &exchange;
       ctx.params = &params;
       ctx.on_epoch = [p = ex.get()](const core::EpochRecord& rec,
                                     const std::vector<core::Element>& els) {
@@ -61,11 +62,10 @@ struct Chain {
       ledger.on_new_block(i, [p = srv.get()](const ledger::Block& b) {
         p->on_new_block(b);
       });
-      peers.push_back(srv.get());
+      exchange.attach(*srv);
       servers.push_back(std::move(srv));
       executors.push_back(std::move(ex));
     }
-    for (auto& s : servers) s->connect_peers(peers);
   }
 
   /// A wallet fronts the cluster through the quorum facade; `primary` is the

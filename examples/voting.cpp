@@ -27,6 +27,7 @@ struct Election {
   core::SetchainParams params;
   crypto::Pki pki{777};
   ledger::InstantLedger ledger{kServers};
+  core::InProcessBatchExchange exchange;  // synchronous, in-process
   std::vector<std::unique_ptr<core::HashchainServer>> servers;
   std::map<core::ElementId, std::string> ballot_choice;  // audit trail
 
@@ -41,17 +42,16 @@ struct Election {
     core::ServerContext ctx;
     ctx.ledger = &ledger;
     ctx.pki = &pki;
+    ctx.batch_exchange = &exchange;
     ctx.params = &params;
-    std::vector<core::HashchainServer*> peers;
     for (std::uint32_t i = 0; i < kServers; ++i) {
       auto srv = std::make_unique<core::HashchainServer>(ctx, i);
       ledger.on_new_block(i, [p = srv.get()](const ledger::Block& b) {
         p->on_new_block(b);
       });
-      peers.push_back(srv.get());
+      exchange.attach(*srv);
       servers.push_back(std::move(srv));
     }
-    for (auto& s : servers) s->connect_peers(peers);
   }
 
   /// Each voter talks to the cluster through their own quorum client; the

@@ -11,7 +11,8 @@ namespace setchain::core {
 ///
 /// * kFull: elements carry real payload bytes, batches are really
 ///   serialized/compressed/hashed, and every signature is a real Ed25519
-///   operation. Used by unit/integration tests and the examples.
+///   operation. Used by tests, the examples and live nodes (which charge
+///   no CostModel: only the DES has a simulated CPU).
 /// * kCalibrated: element payloads stay virtual (sizes + deterministic
 ///   seeds), compression uses the ratio measured from the real codec at
 ///   startup, hashes/signatures are deterministic placeholders, and crypto
@@ -22,10 +23,11 @@ namespace setchain::core {
 enum class Fidelity : std::uint8_t { kFull, kCalibrated };
 
 /// Simulated CPU costs of the primitives, calibrated to the paper's testbed
-/// (Xeon E-2186G, Go crypto). These drive the BusyResource occupancy of each
-/// node's CPU in calibrated runs; in full-fidelity runs the real operations
-/// run too but the *simulated* time is still taken from here (host speed
-/// must not leak into simulated results).
+/// (Xeon E-2186G, Go crypto). DES-only: these drive the BusyResource
+/// occupancy of each node's simulated CPU (ServerContext::cpus); in
+/// full-fidelity runs the real operations run too but the *simulated* time
+/// is still taken from here (host speed must not leak into simulated
+/// results). Live nodes (net::NodeHost) charge none of it.
 struct CostModel {
   sim::Time validate_element = sim::from_micros(4);  ///< parse + syntactic checks
   sim::Time verify_signature = sim::from_micros(100);

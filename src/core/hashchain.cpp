@@ -1,6 +1,5 @@
 #include "core/hashchain.hpp"
 
-#include "core/batch_exchange.hpp"
 #include "sim/rng.hpp"
 
 namespace setchain::core {
@@ -11,10 +10,6 @@ HashchainServer::HashchainServer(ServerContext ctx, crypto::ProcessId id)
                  this->ctx_.params->collector_timeout,
                  [this](Batch&& b) { on_batch_ready(std::move(b)); }) {
   collector_.set_origin(id);
-}
-
-void HashchainServer::connect_peers(std::vector<HashchainServer*> peers) {
-  peers_ = std::move(peers);
 }
 
 bool HashchainServer::add(Element e) {
@@ -185,17 +180,12 @@ void HashchainServer::handle_hash_batch(const HashBatchMsg& hb, const ledger::Bl
     if (!st.fetching && !st.consolidated) start_fetch(hb.hash);
   } else {
     // Light mode (Fig. 2 ablation): no reversal service; all servers are
-    // assumed correct, so contents are taken straight from the origin's
+    // assumed correct, so contents are taken straight from an up server's
     // store (zero-copy stand-in for a perfect dissemination layer) and the
     // server co-signs immediately. Scenario::validate() refuses to combine
-    // this mode with a fault plan; the down-peer guard covers direct
-    // crash()-hook use in unit tests.
-    for (auto* peer : peers_) {
-      if (!peer || peer->is_down()) continue;
-      if (const BatchPtr batch = peer->store_.find(hb.hash)) {
-        store_.put(hb.hash, batch);
-        break;
-      }
+    // this mode with a fault plan.
+    if (const BatchPtr batch = ctx_.batch_exchange->find_anywhere(hb.hash)) {
+      store_.put(hb.hash, batch);
     }
     batch_now_available(hb.hash);
   }
@@ -286,29 +276,14 @@ void HashchainServer::fetch_attempt(const EpochHash& h) {
   ++st.next_candidate;
   const std::uint64_t attempt = ++st.attempt_seq;
 
-  if (ctx_.batch_exchange) {
-    // Transport-backed deployment (loopback or TCP): the exchange routes the
-    // request as a wire frame; the answer (or silence) comes back through
-    // NodeHost -> on_batch_response. Timeout/retry machinery is unchanged.
-    ctx_.batch_exchange->send_request(id_, target, h, kRequestWireSize);
-    if (ctx_.sim) {
-      ctx_.sim->schedule_in(params().request_batch_timeout,
-                            [this, h, attempt] { on_fetch_timeout(h, attempt); });
-    } else if (!store_.contains(h)) {
-      on_fetch_timeout(h, attempt);
-    }
-  } else if (ctx_.net && ctx_.sim) {
-    // Request over the wire; answer (or silence) comes back asynchronously.
-    HashchainServer* peer = peers_.at(target);
-    ctx_.net->send(id_, target, kRequestWireSize,
-                   [peer, h, me = id_] { peer->serve_batch_request(me, h); });
+  // The answer (or silence) comes back through on_batch_response. Without
+  // a clock (synchronous in-process exchange) it has already arrived.
+  ctx_.batch_exchange->send_request(id_, target, h, kRequestWireSize);
+  if (ctx_.sim) {
     ctx_.sim->schedule_in(params().request_batch_timeout,
                           [this, h, attempt] { on_fetch_timeout(h, attempt); });
-  } else {
-    // Synchronous path for InstantLedger unit tests.
-    HashchainServer* peer = peers_.at(target);
-    peer->serve_batch_request(id_, h);
-    if (!store_.contains(h)) on_fetch_timeout(h, attempt);
+  } else if (!store_.contains(h)) {
+    on_fetch_timeout(h, attempt);
   }
 }
 
@@ -318,70 +293,25 @@ void HashchainServer::serve_batch_request(crypto::ProcessId requester, const Epo
   const BatchPtr batch = store_.find(h);
   if (!batch) return;  // honest "don't have it" (also silence; requester times out)
 
-  if (ctx_.batch_exchange) {
-    // Transport-backed deployment: the serialized batch travels as a wire
-    // frame back to the requester; serving still costs CPU first.
-    const codec::Bytes* ser = store_.find_serialized(h);
-    const sim::Time ready = cpu_acquire(params().costs.request_batch_overhead +
-                                        params().costs.hash_cost(batch->wire_size()));
-    ctx_.batch_exchange->send_response(id_, requester, h, batch, ser, ready);
-    return;
-  }
-
-  HashchainServer* peer = peers_.at(requester);
-  const codec::Bytes* serialized = store_.find_serialized(h);
-  // Serving costs CPU (lookup + serialization + RPC overhead); the response
-  // leaves once the serving core gets to it.
+  // Serving costs CPU (lookup + serialization + RPC overhead). With a
+  // simulated CPU the response leaves once the serving core gets to it —
+  // and never from a later incarnation: a crash in between silences it.
   const sim::Time done = cpu_acquire(params().costs.request_batch_overhead +
                                      params().costs.hash_cost(batch->wire_size()));
-  if (ctx_.net && ctx_.sim) {
-    const std::uint64_t bytes = serialized ? serialized->size() : batch->wire_size();
-    ctx_.sim->schedule_at(done, [this, requester, bytes, peer, h, batch, serialized] {
-      ctx_.net->send(id_, requester, bytes, [peer, h, batch, serialized] {
-        peer->on_batch_response(h, batch, serialized);
-      });
-    });
-  } else {
-    peer->on_batch_response(h, batch, serialized);
+  if (!has_simulated_cpu()) {
+    send_batch(requester, h);
+    return;
   }
+  ctx_.sim->schedule_at(done, [this, requester, h, inc = incarnation()] {
+    if (inc == incarnation()) send_batch(requester, h);
+  });
 }
 
-void HashchainServer::on_batch_response(const EpochHash& h, BatchPtr batch,
-                                        const codec::Bytes* serialized,
-                                        bool batch_matches_serialized) {
-  if (is_down()) return;
-  HashState& st = hash_state_[h];
-  if (store_.contains(h)) return;  // duplicate/late response
-
-  // Verify the contents actually hash to h (the responder may be Byzantine).
-  cpu_acquire(params().costs.request_batch_overhead +
-              params().costs.hash_cost(batch->wire_size()));
-  if (fidelity() == Fidelity::kFull && serialized) {
-    BatchPtr owned;
-    if (batch_matches_serialized) {
-      owned = std::move(batch);  // already the parse of `serialized`
-    } else {
-      auto parsed = parse_batch(*serialized);
-      if (!parsed) return;
-      owned = std::make_shared<const Batch>(std::move(*parsed));
-    }
-    if (batch_hash(*owned, fidelity()) != h) return;
-    // Element validation cost: the paper validates fetched batch contents.
-    cpu_acquire(static_cast<sim::Time>(owned->elements.size()) *
-                params().costs.validate_element);
-    store_.put(h, std::move(owned), codec::Bytes(*serialized));
-  } else {
-    if (batch_hash(*batch, fidelity()) != h) return;
-    cpu_acquire(static_cast<sim::Time>(batch->elements.size()) *
-                params().costs.validate_element);
-    codec::Bytes ser;
-    if (fidelity() == Fidelity::kFull) ser = serialize_batch(*batch);
-    store_.put(h, std::move(batch), std::move(ser));
+void HashchainServer::send_batch(crypto::ProcessId requester, const EpochHash& h) {
+  if (const BatchPtr batch = store_.find(h)) {
+    ctx_.batch_exchange->send_response(id_, requester, h, batch,
+                                       store_.find_serialized(h));
   }
-
-  st.fetching = false;
-  batch_now_available(h);
-  try_consolidate();
 }
 
 void HashchainServer::on_batch_response(const EpochHash& h, BatchPtr batch,
@@ -394,6 +324,7 @@ void HashchainServer::on_batch_response(const EpochHash& h, BatchPtr batch,
   cpu_acquire(params().costs.request_batch_overhead +
               params().costs.hash_cost(batch->wire_size()));
   if (batch_hash(*batch, fidelity()) != h) return;
+  // Element validation cost: the paper validates fetched batch contents.
   cpu_acquire(static_cast<sim::Time>(batch->elements.size()) *
               params().costs.validate_element);
   if (fidelity() != Fidelity::kFull) serialized.clear();  // bytes not kept
@@ -422,8 +353,8 @@ void HashchainServer::on_fetch_timeout(const EpochHash& h, std::uint64_t attempt
     return;
   }
   if (ctx_.sim) {
-    // Exponential backoff (capped): repeated refusals/overload must not
-    // amplify into a request storm against the remaining signers.
+    // Linear backoff, capped at 16 retry steps: repeated refusals/overload
+    // must not amplify into a request storm against the remaining signers.
     const sim::Time backoff =
         params().request_batch_retry *
         static_cast<sim::Time>(std::min<std::uint64_t>(st.attempt_seq, 16));
@@ -444,13 +375,7 @@ void HashchainServer::try_consolidate() {
     if (!batch && !params().hash_reversal) {
       // Light mode: re-pull from any peer still holding the contents (a
       // peer may have pruned after consolidating before we got here).
-      for (auto* peer : peers_) {
-        if (!peer || peer->is_down()) continue;
-        if ((batch = peer->store_.find(h))) {
-          store_.put(h, batch);
-          break;
-        }
-      }
+      if ((batch = ctx_.batch_exchange->find_anywhere(h))) store_.put(h, batch);
     }
     if (!batch) {
       // Head-of-line blocking until the fetch succeeds: keeps epoch

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "core/batch_exchange.hpp"
 #include "core/batch_store.hpp"
 #include "core/setchain_base.hpp"
 
@@ -13,7 +14,8 @@ namespace setchain::core {
 /// distinct servers are on the ledger (so at least one correct server can
 /// serve the batch contents). Unknown batches are fetched from a signer via
 /// the Request_batch service, verified against their hash, re-signed and
-/// re-announced.
+/// re-announced. Peers are reached only through ServerContext::batch_exchange
+/// (required).
 ///
 /// Determinism note (DESIGN.md): signer counting uses only ledger content
 /// (valid signatures), so the consolidation *position* is identical at every
@@ -27,10 +29,6 @@ class HashchainServer final : public SetchainServer {
 
   bool add(Element e) override;
   void on_new_block(const ledger::Block& b);
-
-  /// Wire the peer vector (index = server id) for the batch-exchange
-  /// service. Must be called on every server before the run starts.
-  void connect_peers(std::vector<HashchainServer*> peers);
 
   Collector& collector() { return collector_; }
   const BatchStore& store() const { return store_; }
@@ -57,21 +55,12 @@ class HashchainServer final : public SetchainServer {
   /// it, any fetch for a still-missing batch).
   void kick_recovery() { try_consolidate(); }
 
-  // ---- batch-exchange wire protocol (invoked via the network) ----
+  // ---- batch-exchange protocol (invoked by the IBatchExchange) ----
   void serve_batch_request(crypto::ProcessId requester, const EpochHash& h);
-  /// `batch_matches_serialized`: the caller guarantees `batch` IS the parse
-  /// of `serialized` (a transport host that already decoded the wire bytes
-  /// sets it, skipping the defensive re-parse). The sim path leaves it
-  /// false — there `batch` aliases the responder's store and only the
-  /// serialized bytes are trusted-after-verification.
-  void on_batch_response(const EpochHash& h, BatchPtr batch,
-                         const codec::Bytes* serialized,
-                         bool batch_matches_serialized = false);
-  /// Wire-path variant: `batch` IS the parse of `serialized` and the bytes
-  /// are surrendered to this server — at kFull fidelity they move straight
-  /// into the store (no copy; the net path hands over its decode buffer).
-  void on_batch_response(const EpochHash& h, BatchPtr batch,
-                         codec::Bytes&& serialized);
+  /// `batch` is what the responder sent — at kFull fidelity the parse of
+  /// `serialized`, whose bytes are surrendered to this server and move
+  /// straight into the store; calibrated responses carry no bytes.
+  void on_batch_response(const EpochHash& h, BatchPtr batch, codec::Bytes&& serialized);
 
  protected:
   void on_crash(bool wipe) override;
@@ -108,6 +97,7 @@ class HashchainServer final : public SetchainServer {
   void start_fetch(const EpochHash& h);
   void fetch_attempt(const EpochHash& h);
   void on_fetch_timeout(const EpochHash& h, std::uint64_t attempt);
+  void send_batch(crypto::ProcessId requester, const EpochHash& h);
   void try_consolidate();
   void consolidate_hash(const EpochHash& h, const Batch& batch);
 
@@ -115,7 +105,6 @@ class HashchainServer final : public SetchainServer {
   BatchStore store_;
   std::unordered_map<EpochHash, HashState, EpochHashHasher> hash_state_;
   std::deque<EpochHash> consolidation_queue_;
-  std::vector<HashchainServer*> peers_;
 
   std::uint64_t hash_batches_appended_ = 0;
   std::uint64_t fetches_started_ = 0;

@@ -315,7 +315,7 @@ bool SetchainServer::restore_state(codec::Reader& r) {
 }
 
 sim::Time SetchainServer::cpu_acquire(sim::Time cost) {
-  if (!ctx_.cpus || ctx_.cpus->empty()) return now() + cost;
+  if (!has_simulated_cpu()) return now();
   return (*ctx_.cpus)[id_].acquire(now(), cost);
 }
 

@@ -12,7 +12,6 @@
 #include "core/epoch_record.hpp"
 #include "ledger/ledger_node.hpp"
 #include "metrics/stage_recorder.hpp"
-#include "sim/network.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 
@@ -20,13 +19,14 @@ namespace setchain::core {
 
 class IBatchExchange;  // core/batch_exchange.hpp — Hashchain transport seam
 
-/// Wiring a server needs. Optional pieces may be null: `net`/`cpus` are
-/// absent in InstantLedger unit tests, `recorder` when metrics are off,
-/// `batch_exchange` everywhere except transport-backed deployments
-/// (net::NodeHost), where it replaces the pointer-based peer paths.
+/// Wiring a server needs. Optional pieces may be null: `sim` is absent in
+/// InstantLedger unit tests, `recorder` when metrics are off. `cpus` is the
+/// simulated CPU the CostModel charges; only the DES (runner::Experiment)
+/// has one — live nodes (net::NodeHost) charge no modeled cost. Hashchain
+/// requires `batch_exchange` (its only way to reach a peer); the other
+/// algorithms ignore it.
 struct ServerContext {
   sim::Simulation* sim = nullptr;
-  sim::Network* net = nullptr;
   IBatchExchange* batch_exchange = nullptr;
   ledger::IBlockLedger* ledger = nullptr;
   crypto::Pki* pki = nullptr;
@@ -178,7 +178,10 @@ class SetchainServer : public api::ISetchainNode {
   void absorb_proofs(const std::vector<EpochProof>& ps, sim::Time ledger_time);
 
   /// Charge `cost` to this node's simulated CPU; returns completion time.
+  /// Without a simulated CPU (live nodes, InstantLedger harnesses) nothing
+  /// is charged and the work completes now().
   sim::Time cpu_acquire(sim::Time cost);
+  bool has_simulated_cpu() const { return ctx_.cpus && !ctx_.cpus->empty(); }
 
   /// Mark `height` applied (call at the top of process_block).
   void note_block_applied(std::uint64_t height) { applied_height_ = height; }

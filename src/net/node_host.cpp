@@ -46,7 +46,6 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
       storage_(storage),
       cluster_(cluster_id_of(cfg)),
       pki_(cfg.seed),
-      cpus_(cfg.n),
       ledger_(make_ledger(cfg, sim, transport, &pki_, cluster_)) {
   // Shared deterministic PKI: servers 0..n-1 plus the advertised client id
   // range. Every process of the cluster derives the same keys from the seed.
@@ -65,13 +64,12 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
   params_.request_batch_timeout = sim::from_millis(500);
   params_.request_batch_retry = sim::from_millis(100);
 
+  // No simulated CPU (ctx.cpus): a live node spends real time, no CostModel.
   core::ServerContext ctx;
   ctx.sim = &sim_;
-  ctx.net = nullptr;  // no pointer network: frames or nothing
   ctx.batch_exchange = this;
   ctx.ledger = ledger_.get();
   ctx.pki = &pki_;
-  ctx.cpus = &cpus_;
   ctx.params = &params_;
 
   switch (cfg_.algorithm) {
@@ -346,9 +344,8 @@ void NodeHost::on_frame(EndpointId from, wire::Frame&& frame) {
       auto parsed = core::parse_batch(m->batch);
       if (!parsed) break;  // Byzantine junk: the fetch timeout retries elsewhere
       auto batch = std::make_shared<const core::Batch>(std::move(*parsed));
-      // batch IS the parse of these bytes, so on_batch_response skips its
-      // defensive re-parse; it still re-hashes against the requested hash
-      // (the responder is untrusted).
+      // batch IS the parse of these bytes; on_batch_response re-hashes it
+      // against the requested hash (the responder is untrusted).
       hashchain_->on_batch_response(m->hash, std::move(batch),
                                     codec::Bytes(m->batch.begin(), m->batch.end()));
       return;
@@ -471,19 +468,13 @@ void NodeHost::send_request(crypto::ProcessId requester, crypto::ProcessId holde
 
 void NodeHost::send_response(crypto::ProcessId responder, crypto::ProcessId requester,
                              const core::EpochHash& h, core::BatchPtr batch,
-                             const codec::Bytes* serialized, sim::Time ready_at) {
+                             const codec::Bytes* serialized) {
   (void)responder;
   wire::BatchResponse m;
   m.hash = h;
   m.batch = serialized != nullptr ? *serialized : core::serialize_batch(*batch);
-  codec::Bytes payload = wire::encode_batch_response(m);
-  // Honor the CPU model's completion time (loopback shares the simulated
-  // clock); under a real-time pump the delay is microseconds of virtual
-  // time and fires on the next loop turn.
-  sim_.schedule_at(std::max(ready_at, sim_.now()),
-                   [this, requester, payload = std::move(payload)] {
-                     transport_.send(requester, wire::MsgType::kBatchResponse, payload);
-                   });
+  transport_.send(requester, wire::MsgType::kBatchResponse,
+                  wire::encode_batch_response(m));
 }
 
 void NodeHost::run_realtime(std::atomic<bool>& stop) {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 
-#include "core/batch_exchange.hpp"
 #include "core/compresschain.hpp"
 #include "core/hashchain.hpp"
 #include "core/vanilla.hpp"
@@ -107,7 +106,7 @@ class NodeHost final : public core::IBatchExchange {
                     const core::EpochHash& h, std::uint64_t wire_bytes) override;
   void send_response(crypto::ProcessId responder, crypto::ProcessId requester,
                      const core::EpochHash& h, core::BatchPtr batch,
-                     const codec::Bytes* serialized, sim::Time ready_at) override;
+                     const codec::Bytes* serialized) override;
 
   core::SetchainServer& server() { return *server_; }
   const core::SetchainServer& server() const { return *server_; }
@@ -154,7 +153,6 @@ class NodeHost final : public core::IBatchExchange {
 
   crypto::Pki pki_;
   core::SetchainParams params_;
-  std::vector<sim::BusyResource> cpus_;
   std::unique_ptr<IWireLedger> ledger_;  ///< ReplicatedLedger or ConsensusLedger
   std::unique_ptr<core::SetchainServer> server_;
   core::HashchainServer* hashchain_ = nullptr;  ///< set when algorithm is Hashchain

@@ -53,6 +53,7 @@ Experiment::Experiment(Scenario scenario)
   }
 
   cpus_.resize(n);
+  batch_exchange_ = std::make_unique<core::InProcessBatchExchange>(net_.get());
 
   pki_ = std::make_unique<crypto::Pki>(scenario_.seed);
   for (std::uint32_t i = 0; i < n; ++i) pki_->register_process(i);
@@ -103,7 +104,7 @@ Experiment::Experiment(Scenario scenario)
   // --- servers ---
   core::ServerContext ctx;
   ctx.sim = sim_.get();
-  ctx.net = net_.get();
+  ctx.batch_exchange = batch_exchange_.get();
   ctx.ledger = ledger_.get();
   ctx.pki = pki_.get();
   ctx.cpus = &cpus_;
@@ -116,7 +117,6 @@ Experiment::Experiment(Scenario scenario)
     };
   }
 
-  std::vector<core::HashchainServer*> hash_servers;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::unique_ptr<core::SetchainServer> s;
     switch (scenario_.algorithm) {
@@ -141,18 +141,12 @@ Experiment::Experiment(Scenario scenario)
         ledger_->on_new_block(i, [p = h.get()](const ledger::Block& b) {
           p->on_new_block(b);
         });
-        hash_servers.push_back(h.get());
+        batch_exchange_->attach(*h);
         s = std::move(h);
         break;
       }
     }
     servers_.push_back(std::move(s));
-  }
-  if (!hash_servers.empty()) {
-    // Peer vector indexed by server id (dense 0..n-1 here).
-    std::vector<core::HashchainServer*> peers(n, nullptr);
-    for (auto* h : hash_servers) peers[h->id()] = h;
-    for (auto* h : hash_servers) h->connect_peers(peers);
   }
   for (const auto node : scenario_.byz_refuse_batch) {
     auto b = servers_[node]->byzantine();

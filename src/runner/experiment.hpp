@@ -103,6 +103,7 @@ class Experiment {
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<sim::Network> net_;
   std::vector<sim::BusyResource> cpus_;
+  std::unique_ptr<core::InProcessBatchExchange> batch_exchange_;
   std::unique_ptr<crypto::Pki> pki_;
   std::shared_ptr<metrics::StageRecorder> recorder_;
   std::unique_ptr<workload::ArbitrumLikeGenerator> gen_;

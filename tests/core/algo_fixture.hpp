@@ -26,6 +26,7 @@ struct AlgoHarness {
   SetchainParams params;
   crypto::Pki pki{99};
   ledger::InstantLedger ledger;
+  InProcessBatchExchange exchange;  ///< synchronous: no network, no clock
   workload::ArbitrumLikeGenerator gen{4};
   ElementFactory factory{gen, pki, Fidelity::kFull};
   std::vector<std::unique_ptr<Server>> servers;
@@ -44,18 +45,15 @@ struct AlgoHarness {
     ServerContext ctx;
     ctx.ledger = &ledger;
     ctx.pki = &pki;
+    ctx.batch_exchange = &exchange;
     ctx.params = &params;
     for (std::uint32_t i = 0; i < n; ++i) {
       auto s = std::make_unique<Server>(ctx, i);
       ledger.on_new_block(i, [p = s.get()](const ledger::Block& b) {
         p->on_new_block(b);
       });
+      if constexpr (std::is_same_v<Server, HashchainServer>) exchange.attach(*s);
       servers.push_back(std::move(s));
-    }
-    if constexpr (std::is_same_v<Server, HashchainServer>) {
-      std::vector<HashchainServer*> peers;
-      for (auto& s : servers) peers.push_back(s.get());
-      for (auto& s : servers) s->connect_peers(peers);
     }
   }
 

@@ -274,5 +274,78 @@ TEST(Hashchain, StressManyBatchesStayConsistent) {
   }
 }
 
+// A server that crashes with wipe while its simulated CPU is still working
+// on a Request_batch must not answer it afterwards: the response belongs to
+// the dead incarnation, and the wipe has freed the bytes it would carry.
+TEST(Hashchain, CrashedServerSendsNoPendingBatchResponse) {
+  constexpr std::uint32_t kN = 4;
+  sim::Simulation sim;
+  sim::Network net(sim, kN, sim::NetworkConfig{}, 7);
+  std::vector<sim::BusyResource> cpus(kN);
+  crypto::Pki pki(99);
+  for (crypto::ProcessId p = 0; p < kN; ++p) pki.register_process(p);
+  pki.register_process(100);
+  ledger::InstantLedger ledger(kN);
+  InProcessBatchExchange exchange(&net);
+  SetchainParams params;
+  params.n = kN;
+  params.f = 1;
+  params.fidelity = Fidelity::kFull;
+  params.collector_limit = 2;
+  params.collector_timeout = 0;
+
+  ServerContext ctx;
+  ctx.sim = &sim;
+  ctx.batch_exchange = &exchange;
+  ctx.ledger = &ledger;
+  ctx.pki = &pki;
+  ctx.cpus = &cpus;
+  ctx.params = &params;
+  std::vector<std::unique_ptr<HashchainServer>> servers;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    servers.push_back(std::make_unique<HashchainServer>(ctx, i));
+    ledger.on_new_block(i, [p = servers.back().get()](const ledger::Block& b) {
+      p->on_new_block(b);
+    });
+    exchange.attach(*servers.back());
+  }
+
+  // Server 0 alone holds the batch; its announcement sends every other
+  // server to fetch it from server 0.
+  workload::ArbitrumLikeGenerator gen(4);
+  ElementFactory factory(gen, pki, Fidelity::kFull);
+  ASSERT_TRUE(servers[0]->add(factory.make(100, 1)));
+  ASSERT_TRUE(servers[0]->add(factory.make(100, 2)));
+  ASSERT_EQ(servers[0]->store().size(), 1u);
+  ASSERT_TRUE(ledger.seal_block(sim.now()));
+
+  // Step until a request has reached server 0: serving charges its CPU the
+  // request overhead on top of the block it already queued. Crash while
+  // that work is still in progress.
+  const sim::Time busy_with_block = cpus[0].total_busy();
+  const sim::Time deadline = sim.now() + sim::from_seconds(1);
+  sim::Time t = sim.now();
+  while (cpus[0].total_busy() < busy_with_block + params.costs.request_batch_overhead) {
+    ASSERT_LT(t, deadline) << "no request reached server 0";
+    t += sim::from_micros(50);
+    sim.run_until(t);
+  }
+  ASSERT_GT(cpus[0].busy_until(), t);
+  servers[0]->crash(/*wipe=*/true);
+
+  // An arriving response costs its receiver the request overhead before
+  // anything else, so a receiver whose CPU stays idle received none (no
+  // new blocks are sealed, and retries to the dead server 0 go unserved).
+  std::vector<sim::Time> busy_at_crash;
+  for (const auto& cpu : cpus) busy_at_crash.push_back(cpu.total_busy());
+  sim.run_until(t + sim::from_seconds(2));
+  for (std::uint32_t i = 1; i < kN; ++i) {
+    EXPECT_GE(servers[i]->fetches_started(), 1u) << "server " << i;
+    EXPECT_EQ(cpus[i].total_busy(), busy_at_crash[i])
+        << "server " << i << " received a response from a dead incarnation";
+    EXPECT_EQ(servers[i]->store().size(), 0u) << "server " << i;
+  }
+}
+
 }  // namespace
 }  // namespace setchain::core

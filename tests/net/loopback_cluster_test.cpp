@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/quorum_client.hpp"
 #include "net/remote_node.hpp"
 #include "net_fixture.hpp"
@@ -232,6 +234,65 @@ TEST(LoopbackClusterFaults, PartitionedReplicaRejoins) {
   // Consistent-Gets across the healed cluster, node 3 included.
   const auto safety = core::check_safety(cl.servers());
   EXPECT_TRUE(safety.ok()) << safety.to_string();
+}
+
+/// ITransport pass-through that notes, on the simulated clock, when its node
+/// handles a kBatchRequest and when it sends a kBatchResponse.
+class BatchExchangeTap final : public ITransport {
+ public:
+  BatchExchangeTap(ITransport& inner, sim::Simulation& sim) : inner_(inner), sim_(sim) {}
+
+  void set_handler(FrameHandler handler) override {
+    inner_.set_handler([this, handler = std::move(handler)](EndpointId from,
+                                                            wire::Frame&& f) {
+      if (f.type == wire::MsgType::kBatchRequest) requests_handled.push_back(sim_.now());
+      handler(from, std::move(f));
+    });
+  }
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    if (type == wire::MsgType::kBatchResponse) responses_sent.push_back(sim_.now());
+    return inner_.send(to, type, payload);
+  }
+  std::size_t poll(std::chrono::milliseconds max_wait) override {
+    return inner_.poll(max_wait);
+  }
+  std::uint32_t self() const override { return inner_.self(); }
+  Counters counters() const override { return inner_.counters(); }
+
+  std::vector<sim::Time> requests_handled;
+  std::vector<sim::Time> responses_sent;
+
+ private:
+  ITransport& inner_;
+  sim::Simulation& sim_;
+};
+
+// A live node has no simulated CPU: it answers a Request_batch in the same
+// virtual instant it handles it, with no modeled serving cost in between.
+TEST(LoopbackClusterBatchExchange, ResponseLeavesWhenRequestIsHandled) {
+  LoopbackCluster cl(runner::Algorithm::kHashchain);
+  std::vector<std::unique_ptr<BatchExchangeTap>> taps;
+  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
+    NodeHostConfig c = cl.cfg;
+    c.id = i;
+    taps.push_back(std::make_unique<BatchExchangeTap>(cl.hub.transport(i), cl.sim));
+    cl.hosts.push_back(std::make_unique<NodeHost>(c, cl.sim, *taps.back()));
+    cl.hosts.back()->start();
+  }
+
+  // Node 0 alone batches the workload, so every other node fetches from it.
+  const auto elements = make_workload(cl.cfg, 12, cl.pki);
+  for (const auto& e : elements) ASSERT_TRUE(cl.hosts[0]->server().add(e));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(elements.size()); }));
+
+  const BatchExchangeTap& holder = *taps[0];
+  ASSERT_FALSE(holder.responses_sent.empty()) << "nobody fetched from node 0";
+  for (const sim::Time sent : holder.responses_sent) {
+    const auto& handled = holder.requests_handled;
+    EXPECT_TRUE(std::find(handled.begin(), handled.end(), sent) != handled.end())
+        << "kBatchResponse sent at " << sent
+        << " ns, not at the instant a kBatchRequest was handled";
+  }
 }
 
 // A garbage frame (bad payload for its type) must be counted and ignored,

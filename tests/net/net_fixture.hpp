@@ -56,21 +56,19 @@ ReferenceRun run_reference_algo(const NodeHostConfig& cfg,
     pki.register_process(p);
   }
   ledger::InstantLedger ledger(cfg.n);
+  core::InProcessBatchExchange exchange;
 
   core::ServerContext ctx;
   ctx.ledger = &ledger;
   ctx.pki = &pki;
+  ctx.batch_exchange = &exchange;
   ctx.params = &params;
   std::vector<std::unique_ptr<Server>> servers;
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     auto s = std::make_unique<Server>(ctx, i);
     ledger.on_new_block(i, [p = s.get()](const ledger::Block& b) { p->on_new_block(b); });
+    if constexpr (std::is_same_v<Server, core::HashchainServer>) exchange.attach(*s);
     servers.push_back(std::move(s));
-  }
-  if constexpr (std::is_same_v<Server, core::HashchainServer>) {
-    std::vector<core::HashchainServer*> peers;
-    for (auto& s : servers) peers.push_back(s.get());
-    for (auto& s : servers) s->connect_peers(peers);
   }
 
   const auto flush = [&] {
