@@ -210,7 +210,8 @@ echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, durable whole-cluster restart)"
 
 # ---- Phase 4: consensus ledger + one Byzantine node -----------------------
 # Fresh consensus cluster where node 1 — the round-0 proposer of height 1 —
-# runs --byz-consensus: it equivocates proposals, double-votes, forges votes
+# runs --byz-consensus (its honest ledger behind the ByzantineTransport
+# decorator): it equivocates proposals, double-votes, forges votes
 # and serves junk sync, all signed with its real key. The client workload
 # must still commit end to end on the honest majority, and the honest nodes'
 # shutdown summaries must report the equivocator detected and masked.

@@ -108,10 +108,9 @@ codec::ByteView CommittedChain::commit(std::uint64_t height, std::uint32_t propo
   return stored;
 }
 
-std::vector<codec::ByteView> CommittedChain::sync_blocks(
-    std::uint64_t from_height) const {
+void CommittedChain::serve_sync(EndpointId to, std::uint64_t from_height) {
+  if (from_height <= base_) return;  // compacted into a snapshot
   std::vector<codec::ByteView> views;
-  if (from_height <= base_) return views;  // compacted into a snapshot
   std::uint64_t bytes = 0;
   for (std::uint64_t h = from_height; h <= height_ && views.size() < kMaxSyncBlocks;
        ++h) {
@@ -122,11 +121,6 @@ std::vector<codec::ByteView> CommittedChain::sync_blocks(
     bytes += b.size();
     views.emplace_back(b);
   }
-  return views;
-}
-
-void CommittedChain::serve_sync(EndpointId to, std::uint64_t from_height) {
-  const std::vector<codec::ByteView> views = sync_blocks(from_height);
   if (views.empty()) return;
   transport_.send(to, wire::MsgType::kBlockSyncResponse,
                   wire::encode_block_sync_response(views));

@@ -114,10 +114,9 @@ class CommittedChain {
   codec::ByteView commit(std::uint64_t height, std::uint32_t proposer,
                          std::vector<ledger::Transaction>&& txs, codec::Bytes raw);
 
-  /// Stored payloads from `from_height` up, as many as one sync response
-  /// carries; empty when none of them is held.
-  std::vector<codec::ByteView> sync_blocks(std::uint64_t from_height) const;
-  /// Answer a kBlockSyncRequest with sync_blocks(from_height), if any.
+  /// Answer a kBlockSyncRequest with the stored payloads from
+  /// `from_height` up, as many as one sync response carries; nothing when
+  /// none of them is held.
   void serve_sync(EndpointId to, std::uint64_t from_height);
 
   /// Snapshot state prefix, led by the caller's format `version` byte.

@@ -88,14 +88,6 @@ void ConsensusLedger::broadcast(wire::MsgType type, codec::ByteView payload) {
   }
 }
 
-void ConsensusLedger::broadcast_split(wire::MsgType type, codec::ByteView even,
-                                      codec::ByteView odd) {
-  for (std::uint32_t peer = 0; peer < cfg_.n; ++peer) {
-    if (peer == cfg_.self) continue;
-    transport_.send(peer, type, (peer % 2 == 0) ? even : odd);
-  }
-}
-
 // --- Signing -----------------------------------------------------------------
 
 crypto::Ed25519::Signature ConsensusLedger::sign_proposal(
@@ -398,25 +390,6 @@ void ConsensusLedger::tick() {
 
   const sim::Time now = timers_.now();
 
-  if (cfg_.byzantine && !forged_this_height_ && work_seen_) {
-    // Byzantine: one impersonated vote (author != transport sender — every
-    // receiver rejects the frame outright) and one vote with a garbage
-    // signature (passes the identity gate, dies in batch verification).
-    forged_this_height_ = true;
-    wire::VoteMsg imp;
-    imp.height = active_height();
-    imp.round = cur_round_;
-    imp.voter = (cfg_.self + 1) % cfg_.n;
-    imp.hash.fill(0x42);
-    broadcast(wire::MsgType::kPrevote, wire::encode_vote(imp));
-    wire::VoteMsg garbage;
-    garbage.height = active_height();
-    garbage.round = cur_round_;
-    garbage.voter = cfg_.self;
-    garbage.hash.fill(0x66);
-    broadcast(wire::MsgType::kPrevote, wire::encode_vote(garbage));
-  }
-
   if (work_seen_ && now >= round_deadline_) {
     // No commit despite pending work: the round proposer looks dead. Ask to
     // skip (and re-ask every further timeout — skips may be lost too).
@@ -466,25 +439,7 @@ void ConsensusLedger::seal_and_broadcast_fresh() {
   codec::Bytes block_bytes = wire::encode_block(block.height, block.proposer, reaped);
   codec::Bytes raw =
       wire::encode_signed_proposal(block_bytes, sign_proposal(block_bytes));
-
-  if (cfg_.byzantine) {
-    // Byzantine: seal a SECOND, conflicting but validly signed payload for
-    // the same height and split the peers. We hold (and retransmit) the
-    // honest payload ourselves, so receivers of the alternate eventually see
-    // both and mask us.
-    std::vector<const ledger::Transaction*> alt_txs = reaped;
-    if (alt_txs.size() >= 2) {
-      std::reverse(alt_txs.begin(), alt_txs.end());
-    } else {
-      alt_txs.clear();
-    }
-    codec::Bytes alt_bytes = wire::encode_block(block.height, block.proposer, alt_txs);
-    codec::Bytes alt_raw =
-        wire::encode_signed_proposal(alt_bytes, sign_proposal(alt_bytes));
-    broadcast_split(wire::MsgType::kProposal, raw, alt_raw);
-  } else {
-    broadcast(wire::MsgType::kProposal, raw);
-  }
+  broadcast(wire::MsgType::kProposal, raw);
 
   const wire::ProposalHash hash = crypto::Sha256::hash(raw);
   proposals_.emplace(hash, HeldProposal{std::move(block), std::move(raw)});
@@ -511,14 +466,6 @@ void ConsensusLedger::maybe_prevote() {
   m.sig = sign_vote(wire::MsgType::kPrevote, m);
   record_vote(prevotes_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrevote, wire::encode_vote(m));
-  if (cfg_.byzantine) {
-    // Byzantine: a second validly signed prevote for a fabricated hash in
-    // the same round — the receivers must mask us, not count both.
-    wire::VoteMsg evil = m;
-    evil.hash[0] ^= 0xFF;
-    evil.sig = sign_vote(wire::MsgType::kPrevote, evil);
-    broadcast(wire::MsgType::kPrevote, wire::encode_vote(evil));
-  }
   check_polka();
 }
 
@@ -560,12 +507,6 @@ void ConsensusLedger::send_precommit(std::uint32_t round,
   m.sig = sign_vote(wire::MsgType::kPrecommit, m);
   record_vote(precommits_, m.round, m.hash, m.voter, m.sig);
   broadcast(wire::MsgType::kPrecommit, wire::encode_vote(m));
-  if (cfg_.byzantine) {
-    wire::VoteMsg evil = m;
-    evil.hash[0] ^= 0xFF;
-    evil.sig = sign_vote(wire::MsgType::kPrecommit, evil);
-    broadcast(wire::MsgType::kPrecommit, wire::encode_vote(evil));
-  }
   try_commit();
 }
 
@@ -683,7 +624,6 @@ void ConsensusLedger::commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw
   lock_hash_.reset();
   lock_round_ = 0;
   cur_round_ = 0;
-  forged_this_height_ = false;
   work_seen_ = !chain_.pool_empty();
   const sim::Time now = timers_.now();
   round_deadline_ = now + cfg_.timeout_propose;
@@ -739,22 +679,7 @@ std::optional<wire::ProposalMsg> ConsensusLedger::check_certified(
 }
 
 void ConsensusLedger::on_sync_request(EndpointId from, const wire::BlockSyncRequest& m) {
-  if (!cfg_.byzantine) {
-    chain_.serve_sync(from, m.from_height);
-    return;
-  }
-  // Byzantine: serve certificate bytes with one flipped byte each. The
-  // receiver's check_certified must reject them without crashing (and count
-  // cert_rejects); its rotation then finds an honest server.
-  std::vector<codec::Bytes> mangled;
-  for (const codec::ByteView v : chain_.sync_blocks(m.from_height)) {
-    codec::Bytes& b = mangled.emplace_back(v.begin(), v.end());
-    if (!b.empty()) b[b.size() / 2] ^= 0x5A;
-  }
-  if (mangled.empty()) return;
-  std::vector<codec::ByteView> views(mangled.begin(), mangled.end());
-  transport_.send(from, wire::MsgType::kBlockSyncResponse,
-                  wire::encode_block_sync_response(views));
+  chain_.serve_sync(from, m.from_height);
 }
 
 void ConsensusLedger::on_sync_response(const wire::BlockSyncResponse& m) {

@@ -47,13 +47,6 @@ struct ConsensusLedgerConfig {
   /// cluster_id() of this deployment: mixed into every signing transcript,
   /// so signatures never replay across deployments.
   std::uint64_t cluster = 0;
-  /// TEST-ONLY adversary for the Byzantine-path tests and the
-  /// `--byz-consensus` smoke node: seal two conflicting proposals per
-  /// height and split them between even and odd peers, follow every honest
-  /// vote with a second signed vote for a fabricated hash, broadcast
-  /// impersonated and garbage-signature votes, and serve corrupted
-  /// certified blocks to sync requesters.
-  bool byzantine = false;
 };
 
 /// Wire-level consensus block ledger: the CometbftSim state machine
@@ -67,7 +60,11 @@ struct ConsensusLedgerConfig {
 /// for votes, the frame type) — see wire.hpp transcripts. The threat model
 /// (docs/ARCHITECTURE.md): up to f Byzantine servers may equivocate, forge,
 /// replay, or corrupt frames; they can no longer impersonate another server
-/// or split honest nodes onto conflicting commits.
+/// or split honest nodes onto conflicting commits. This class only ever
+/// plays the honest part: the Byzantine node of the tests and of
+/// `setchain_node --byz-consensus` is this same ledger behind a
+/// ByzantineTransport (net/byzantine_transport.hpp) that rewrites its
+/// outbound frames.
 ///
 ///  * proposer_for(H, r) = (H + r) % n. The round-r proposer broadcasts a
 ///    kProposal (block bytes ‖ proposer signature); everyone hashes the
@@ -236,8 +233,6 @@ class ConsensusLedger final : public IWireLedger {
   void retransmit();
   void note_work();  ///< first work for this height arms the round deadline
   void broadcast(wire::MsgType type, codec::ByteView payload);
-  /// Byzantine splits: even-id peers get `even`, odd-id peers get `odd`.
-  void broadcast_split(wire::MsgType type, codec::ByteView even, codec::ByteView odd);
   void seal_and_broadcast_fresh();
 
   // Signing / verification.
@@ -312,7 +307,6 @@ class ConsensusLedger final : public IWireLedger {
   std::deque<PendingVote> pending_verify_;
   bool verify_scheduled_ = false;
   FutureVotes future_;
-  bool forged_this_height_ = false;  ///< Byzantine vote-forgery pacing
 
   std::uint64_t blocks_broadcast_ = 0;  ///< fresh proposals sealed here
   bool started_ = false;

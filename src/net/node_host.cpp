@@ -24,7 +24,6 @@ std::unique_ptr<IWireLedger> make_ledger(const NodeHostConfig& cfg,
     lc.sync_interval = cfg.sync_interval;
     lc.pki = pki;
     lc.cluster = cluster;
-    lc.byzantine = cfg.byz_consensus;
     return std::make_unique<ConsensusLedger>(lc, sim, transport);
   }
   ReplicatedLedgerConfig lc;
@@ -72,30 +71,25 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
   ctx.pki = &pki_;
   ctx.params = &params_;
 
+  // The algorithm picks the server class; every server is subscribed to the
+  // ledger's committed blocks the same way.
+  const auto install = [this](auto server) {
+    ledger_->on_new_block(
+        cfg_.id, [p = server.get()](const ledger::Block& b) { p->on_new_block(b); });
+    server_ = std::move(server);
+  };
   switch (cfg_.algorithm) {
-    case runner::Algorithm::kVanilla: {
-      auto s = std::make_unique<core::VanillaServer>(ctx, cfg_.id);
-      ledger_->on_new_block(
-          cfg_.id, [p = s.get()](const ledger::Block& b) { p->on_new_block(b); });
-      server_ = std::move(s);
+    case runner::Algorithm::kVanilla:
+      install(std::make_unique<core::VanillaServer>(ctx, cfg_.id));
       break;
-    }
-    case runner::Algorithm::kCompresschain: {
-      auto s = std::make_unique<core::CompresschainServer>(ctx, cfg_.id);
-      ledger_->on_new_block(
-          cfg_.id, [p = s.get()](const ledger::Block& b) { p->on_new_block(b); });
-      server_ = std::move(s);
+    case runner::Algorithm::kCompresschain:
+      install(std::make_unique<core::CompresschainServer>(ctx, cfg_.id));
       break;
-    }
-    case runner::Algorithm::kHashchain: {
-      auto s = std::make_unique<core::HashchainServer>(ctx, cfg_.id);
-      hashchain_ = s.get();
-      ledger_->on_new_block(
-          cfg_.id, [p = s.get()](const ledger::Block& b) { p->on_new_block(b); });
-      server_ = std::move(s);
+    case runner::Algorithm::kHashchain:
+      install(std::make_unique<core::HashchainServer>(ctx, cfg_.id));
       break;
-    }
   }
+  hashchain_ = dynamic_cast<core::HashchainServer*>(server_.get());
 }
 
 namespace {

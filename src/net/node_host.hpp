@@ -50,14 +50,9 @@ struct NodeHostConfig {
   /// (the WAL grows without bound — fine for tests and short runs). Only
   /// meaningful when a Storage is attached.
   std::uint64_t snapshot_epochs = 0;
-
-  /// TEST-ONLY: run the consensus ledger as the Byzantine adversary
-  /// (ConsensusLedgerConfig::byzantine: proposal equivocation, double
-  /// voting, vote forgery, junk sync). The shared-seed PKI means this node
-  /// signs its conflicting messages with its real key — exactly the
-  /// adversary the masking and certificate checks defend against. Ignored
-  /// in sequencer mode.
-  bool byz_consensus = false;
+  // A node's own ledger is always honest: the Byzantine tests and
+  // `setchain_node --byz-consensus` wrap its transport in a
+  // ByzantineTransport (net/byzantine_transport.hpp).
 };
 
 /// One live Setchain node: a full-fidelity SetchainServer (vanilla /

@@ -69,4 +69,22 @@ class ITransport {
   virtual Counters counters() const = 0;
 };
 
+/// Decorator base: wraps another transport and passes everything but send()
+/// straight through. Subclasses rewrite, drop or observe outbound frames
+/// (and may override set_handler to observe inbound ones).
+class ForwardingTransport : public ITransport {
+ public:
+  explicit ForwardingTransport(ITransport& inner) : inner_(inner) {}
+
+  void set_handler(FrameHandler handler) override { inner_.set_handler(std::move(handler)); }
+  std::size_t poll(std::chrono::milliseconds max_wait) override {
+    return inner_.poll(max_wait);
+  }
+  std::uint32_t self() const override { return inner_.self(); }
+  Counters counters() const override { return inner_.counters(); }
+
+ protected:
+  ITransport& inner_;
+};
+
 }  // namespace setchain::net

@@ -4,19 +4,21 @@
 // round-0 proposer crashed — the f-tolerance the fixed sequencer lacks —
 // under the PR-4 fault-injection plans with seeded replays, (c) reject
 // malformed or mode-mismatched frames without poisoning a node, and (d)
-// survive a fully Byzantine member — equivocating proposals, double votes,
-// forged votes, junk sync, corrupted frames — by masking the equivocator
-// and staying conformant on the honest majority. Two regressions ride
-// along: a submit window cut mid-flight must heal by resubmission, not
-// luck, under both ledger modes; and oversized txs must neither overfill
-// nor wedge a block.
+// survive a fully Byzantine member — an honest ledger behind a
+// ByzantineTransport: equivocating proposals, double votes, forged votes,
+// junk sync — and corrupted frames, by masking the equivocator and staying
+// conformant on the honest majority, whose own frames never equivocate.
+// Two regressions ride along: a submit window cut mid-flight must heal by
+// resubmission, not luck, under both ledger modes; and oversized txs must
+// neither overfill nor wedge a block.
 #include "net/consensus_ledger.hpp"
 
 #include <gtest/gtest.h>
 
-#include "api/quorum_client.hpp"
-#include "net/loopback.hpp"
-#include "net/remote_node.hpp"
+#include <map>
+#include <set>
+#include <tuple>
+
 #include "net_fixture.hpp"
 
 namespace setchain::net {
@@ -24,118 +26,7 @@ namespace {
 
 using namespace setchain::net::testing;
 
-struct ConsensusCluster {
-  NodeHostConfig cfg;
-  sim::Simulation sim;
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NodeHost>> hosts;
-  crypto::Pki pki;
-
-  explicit ConsensusCluster(runner::Algorithm algo, std::uint64_t seed = 42,
-                            std::uint32_t n = 4)
-      : cfg(make_config(algo, seed, n)), hub(sim, n), pki(cfg.seed) {
-    for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
-      pki.register_process(p);
-    }
-  }
-
-  static NodeHostConfig make_config(runner::Algorithm algo, std::uint64_t seed,
-                                    std::uint32_t n) {
-    NodeHostConfig cfg;
-    cfg.n = n;
-    cfg.f = (n - 1) / 3;
-    cfg.algorithm = algo;
-    cfg.seed = seed;
-    cfg.collector_limit = 6;
-    cfg.collector_timeout = sim::from_millis(200);
-    cfg.block_interval = sim::from_millis(150);
-    cfg.sync_interval = sim::from_millis(400);
-    cfg.ledger_mode = runner::LedgerMode::kConsensus;
-    // Rounds must skip past a dead proposer well inside the test budget.
-    cfg.timeout_propose = sim::from_millis(600);
-    cfg.retry_interval = sim::from_millis(200);
-    return cfg;
-  }
-
-  static constexpr std::uint32_t kNoByz = ~0u;
-
-  /// `byz_node` (if any) runs with every Byzantine consensus behaviour on:
-  /// proposal equivocation, double voting, vote forgery, junk sync.
-  void start(std::uint32_t byz_node = kNoByz) {
-    for (std::uint32_t i = 0; i < cfg.n; ++i) {
-      NodeHostConfig c = cfg;
-      c.id = i;
-      c.byz_consensus = (i == byz_node);
-      hosts.push_back(std::make_unique<NodeHost>(c, sim, hub.transport(i)));
-      hosts.back()->start();
-    }
-  }
-
-  const ConsensusLedger* cons(std::uint32_t i) const {
-    return dynamic_cast<const ConsensusLedger*>(&hosts[i]->ledger());
-  }
-
-  api::QuorumClient client(std::vector<std::unique_ptr<RemoteNode>>& stubs) {
-    for (std::uint32_t i = 0; i < cfg.n; ++i) {
-      stubs.push_back(std::make_unique<RemoteNode>(
-          std::make_unique<LoopbackRpcChannel>(hub, i), i));
-    }
-    return api::make_quorum_client(stubs, pki, cfg.f, core::Fidelity::kFull,
-                                   api::WritePolicy::kAll);
-  }
-
-  bool pump_until(const std::function<bool()>& pred, double budget_seconds = 120) {
-    const sim::Time deadline = sim.now() + sim::from_seconds(budget_seconds);
-    while (sim.now() < deadline) {
-      if (pred()) return true;
-      sim.run_until(sim.now() + sim::from_millis(250));
-    }
-    return pred();
-  }
-
-  void pump_seconds(double s) { sim.run_until(sim.now() + sim::from_seconds(s)); }
-
-  /// Correct-server views, skipping crashed node indices.
-  std::vector<const core::SetchainServer*> servers(
-      const std::vector<std::uint32_t>& skip = {}) const {
-    std::vector<const core::SetchainServer*> out;
-    for (std::uint32_t i = 0; i < hosts.size(); ++i) {
-      if (std::find(skip.begin(), skip.end(), i) != skip.end()) continue;
-      out.push_back(&hosts[i]->server());
-    }
-    return out;
-  }
-
-  bool consolidated(std::size_t expect,
-                    const std::vector<std::uint32_t>& skip = {}) const {
-    for (std::uint32_t i = 0; i < hosts.size(); ++i) {
-      if (std::find(skip.begin(), skip.end(), i) != skip.end()) continue;
-      const auto snap = hosts[i]->server().get();
-      std::size_t in_history = 0;
-      for (const auto& rec : *snap.history) in_history += rec.ids.size();
-      if (in_history < expect) return false;
-    }
-    return true;
-  }
-
-  bool liveness_green(const std::vector<core::ElementId>& accepted,
-                      const std::vector<std::uint32_t>& skip = {}) const {
-    return core::check_liveness_quiescent(servers(skip), accepted,
-                                          hosts[0]->params(), hosts[0]->pki())
-        .ok();
-  }
-};
-
-std::vector<core::ElementId> drive(api::QuorumClient& client,
-                                   const std::vector<core::Element>& elements) {
-  std::vector<core::ElementId> accepted;
-  for (const auto& e : elements) {
-    const auto r = client.add(e);
-    EXPECT_TRUE(r.ok) << "add refused everywhere, element " << e.id;
-    if (r.ok) accepted.push_back(e.id);
-  }
-  return accepted;
-}
+constexpr runner::LedgerMode kConsensus = runner::LedgerMode::kConsensus;
 
 class ConsensusClusterConformance
     : public ::testing::TestWithParam<runner::Algorithm> {};
@@ -145,7 +36,7 @@ class ConsensusClusterConformance
 // in-process InstantLedger reference — ordering by consensus, not by a
 // sequencer, must be invisible to the Setchain layer.
 TEST_P(ConsensusClusterConformance, MatchesSimReferenceWithoutSequencer) {
-  ConsensusCluster cl(GetParam());
+  LoopbackCluster cl(GetParam(), kConsensus);
   cl.start();
 
   const auto elements = make_workload(cl.cfg, 30, cl.pki);
@@ -196,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ConsensusClusterConformance,
 // consensus must round-skip past the corpse at every height it would have
 // proposed and commit the full workload on the survivors.
 TEST(ConsensusFailover, ClusterSurvivesRound0ProposerCrash) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   sim::FaultPlan plan;
   plan.faults.push_back(
       sim::Fault::crash(/*node=*/1, sim::from_millis(10), sim::kNeverHeals));
@@ -241,7 +132,7 @@ TEST(ConsensusFailover, ClusterSurvivesRound0ProposerCrash) {
 TEST(ConsensusFailover, SeededCrashPlansReplayAgainstReference) {
   for (const std::uint64_t seed : {7ull, 1234ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    ConsensusCluster cl(runner::Algorithm::kHashchain, seed);
+    LoopbackCluster cl(runner::Algorithm::kHashchain, kConsensus, seed);
     sim::FaultPlan plan;
     plan.faults.push_back(
         sim::Fault::crash(/*node=*/1, sim::from_millis(50), sim::kNeverHeals));
@@ -275,7 +166,7 @@ TEST(ConsensusFailover, SeededCrashPlansReplayAgainstReference) {
 // Malformed payloads under every consensus frame type (and a bare kBlock,
 // which the consensus dialect does not speak) are counted and ignored.
 TEST(ConsensusRobustness, MalformedConsensusFramesAreCountedAndIgnored) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
 
   for (const auto type : {wire::MsgType::kProposal, wire::MsgType::kPrevote,
@@ -332,16 +223,17 @@ TEST(ConsensusRobustness, SequencerModeRejectsConsensusFrames) {
   EXPECT_EQ(host.bad_frames(), 4u);
 }
 
-// THE Byzantine scenario of this PR: node 1 — the round-0 proposer of
-// height 1 — runs every adversarial behaviour at once (equivocating
-// proposals, double votes, forged votes, junk sync), signing its conflicting
+// THE Byzantine scenario: node 1 — the round-0 proposer of height 1 — runs
+// behind a ByzantineTransport, so every adversarial behaviour is on at once
+// (equivocating proposals, double votes, forged votes, junk sync), signing
+// its conflicting
 // messages with its REAL key. The honest majority must detect the
 // equivocation, permanently mask the node, reject the forgeries, and still
 // commit the full workload with exact P1-P9 conformance against the
 // fault-free reference.
 TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
-  cl.start(/*byz_node=*/1);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  cl.start(byzantine_node(1));
 
   const std::vector<std::uint32_t> byz = {1};
   const auto elements = make_workload(cl.cfg, 24, cl.pki);
@@ -389,13 +281,90 @@ TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
   }
 }
 
+/// Records every proposal and vote its node sends.
+class ConsensusFrameTap final : public ForwardingTransport {
+ public:
+  using ForwardingTransport::ForwardingTransport;
+
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    if (type == wire::MsgType::kProposal || type == wire::MsgType::kPrevote ||
+        type == wire::MsgType::kPrecommit) {
+      sent.emplace_back(type, codec::Bytes(payload.begin(), payload.end()));
+    }
+    return inner_.send(to, type, payload);
+  }
+
+  std::vector<std::pair<wire::MsgType, codec::Bytes>> sent;
+};
+
+// The adversary is a transport decorator, so nothing in the ledger can make
+// an honest node equivocate — pin that on the wire. In the Byzantine
+// scenario above, every frame the honest nodes send is tapped: each signs at
+// most one hash per (height, round, vote kind), and every proposal it
+// authors for one height is byte-identical. (Relaying the lowest-hash
+// proposal of ANOTHER proposer may change over a height; that is not
+// equivocation and is not checked.)
+TEST(ConsensusByzantine, HonestNodesNeverEquivocate) {
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  std::map<std::uint32_t, const ConsensusFrameTap*> taps;
+  cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
+    if (c.id == 1) return std::make_unique<ByzantineTransport>(t, c);
+    auto tap = std::make_unique<ConsensusFrameTap>(t);
+    taps[c.id] = tap.get();
+    return tap;
+  });
+
+  const std::vector<std::uint32_t> byz = {1};
+  const auto elements = make_workload(cl.cfg, 24, cl.pki);
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  const auto accepted = drive(client, elements);
+  ASSERT_EQ(accepted.size(), elements.size());
+  // Not fatal: an equivocating honest node stalls the cluster, and the
+  // checks below then name the frames that did it.
+  EXPECT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted, byz); }))
+      << "honest epoch-proof traffic never quiesced";
+
+  std::size_t authored_total = 0;
+  for (const auto& [node, tap] : taps) {
+    SCOPED_TRACE("honest node " + std::to_string(node));
+    using VoteKey = std::tuple<std::uint64_t, std::uint32_t, wire::MsgType>;
+    std::map<VoteKey, std::set<wire::ProposalHash>> vote_hashes;
+    std::map<std::uint64_t, codec::Bytes> authored;  ///< height -> first payload
+    for (const auto& [type, payload] : tap->sent) {
+      if (type == wire::MsgType::kProposal) {
+        const auto v = wire::parse_signed_proposal_view(payload);
+        ASSERT_TRUE(v.has_value());
+        if (v->block.proposer != node) continue;
+        const auto [it, first] = authored.try_emplace(v->block.height, payload);
+        EXPECT_TRUE(first || it->second == payload)
+            << "two different payloads authored for height " << v->block.height;
+        continue;
+      }
+      const auto m = wire::parse_vote(payload);
+      ASSERT_TRUE(m.has_value());
+      EXPECT_EQ(m->voter, node) << "an honest node sent a vote in another's name";
+      vote_hashes[{m->height, m->round, type}].insert(m->hash);
+    }
+    EXPECT_FALSE(vote_hashes.empty()) << "the tap saw no votes — the check is vacuous";
+    for (const auto& [key, hashes] : vote_hashes) {
+      EXPECT_EQ(hashes.size(), 1u)
+          << "height " << std::get<0>(key) << " round " << std::get<1>(key) << " "
+          << wire::type_name(std::get<2>(key)) << ": " << hashes.size()
+          << " hashes signed";
+    }
+    authored_total += authored.size();
+  }
+  EXPECT_GT(authored_total, 0u) << "no honest node ever proposed — the check is vacuous";
+}
+
 // Vote-equivocation bookkeeping, driven by hand-signed frames (the shared
 // test seed lets the harness sign as any node): the second conflicting vote
 // masks exactly once with one evidence record, further conflicts are inert,
 // round spam is clamped to a bounded number of tracked rounds, and the
 // masked set survives a state-snapshot round trip (consensus state v2).
 TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
 
   const std::uint64_t cluster = cl.hosts[0]->cluster();
@@ -463,7 +432,7 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
 // counted. The buffered claims replay through the full validation path on
 // commit and must not wedge a later workload.
 TEST(ConsensusByzantine, FutureHeightVotesBufferOneHeightOnly) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
   const std::uint64_t cluster = cl.hosts[0]->cluster();
 
@@ -506,7 +475,7 @@ TEST(ConsensusByzantine, FutureHeightVotesBufferOneHeightOnly) {
 // validators — never in committed state. Conformance against the fault-free
 // reference proves it.
 TEST(ConsensusRobustness, CorruptedFramesDoNotBreakConformance) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   sim::FaultPlan plan;
   plan.faults.push_back(sim::Fault::corrupt(sim::kAnyNode, sim::kAnyNode,
                                             /*probability=*/0.05,
@@ -538,7 +507,7 @@ TEST(ConsensusRobustness, CorruptedFramesDoNotBreakConformance) {
 // entry is no valid certified block — must bump cert_rejects and commit
 // nothing; the node keeps working afterwards.
 TEST(ConsensusRobustness, JunkSyncResponsesAreRejectedAndCounted) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
 
   const codec::Bytes junk = codec::to_bytes("not a certified block");
@@ -560,7 +529,7 @@ TEST(ConsensusRobustness, JunkSyncResponsesAreRejectedAndCounted) {
 
 // An opaque kTxSubmit of `bytes` data bytes claiming `claimed_size`, from
 // node 3 to every other server: what a Byzantine member can inject.
-void inject_opaque_tx(ConsensusCluster& cl, std::size_t bytes, std::uint32_t claimed_size,
+void inject_opaque_tx(LoopbackCluster& cl, std::size_t bytes, std::uint32_t claimed_size,
                       std::uint8_t fill) {
   ledger::Transaction tx;
   tx.kind = ledger::TxKind::kOpaque;
@@ -576,7 +545,7 @@ void inject_opaque_tx(ConsensusCluster& cl, std::size_t bytes, std::uint32_t cla
 // wire_size: three 300 KB txs claiming one byte each must commit in three
 // blocks, none of them over kMaxBlockBytes.
 TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   std::size_t largest_block = 0;
   cl.start();
   cl.hosts[0]->ledger().set_commit_hook([&](std::uint64_t, codec::ByteView payload) {
@@ -606,7 +575,7 @@ TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
 // wedge the cluster: every honest proposer reaps it first and seals a
 // proposal no frame can carry.
 TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
-  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
   inject_opaque_tx(cl, wire::kMaxPayloadBytes - 16, 1, 0x7E);
 
@@ -625,12 +594,11 @@ TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
 
 // A node's transport with its outbound kTxSubmit frames cut during
 // [from, to): the submit path, and only it, goes dark for a window.
-class TxSubmitCut final : public ITransport {
+class TxSubmitCut final : public ForwardingTransport {
  public:
   TxSubmitCut(ITransport& inner, sim::Simulation& sim, sim::Time from, sim::Time to)
-      : inner_(inner), sim_(sim), from_(from), to_(to) {}
+      : ForwardingTransport(inner), sim_(sim), from_(from), to_(to) {}
 
-  void set_handler(FrameHandler handler) override { inner_.set_handler(std::move(handler)); }
   bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
     if (type == wire::MsgType::kTxSubmit && sim_.now() >= from_ && sim_.now() < to_) {
       ++cut_;
@@ -638,15 +606,9 @@ class TxSubmitCut final : public ITransport {
     }
     return inner_.send(to, type, payload);
   }
-  std::size_t poll(std::chrono::milliseconds max_wait) override {
-    return inner_.poll(max_wait);
-  }
-  std::uint32_t self() const override { return inner_.self(); }
-  Counters counters() const override { return inner_.counters(); }
   std::uint64_t cut() const { return cut_; }
 
  private:
-  ITransport& inner_;
   sim::Simulation& sim_;
   sim::Time from_;
   sim::Time to_;
@@ -664,60 +626,29 @@ class OwnSubmitResubmission : public ::testing::TestWithParam<runner::LedgerMode
 // from capped-backoff retransmission — a lost submit was once silently gone
 // and the element never committed.
 TEST_P(OwnSubmitResubmission, LostSubmitWindowHealsByRetransmission) {
-  sim::Simulation sim;
-  LoopbackHub hub(sim, 4);
-  NodeHostConfig cfg;
-  cfg.n = 4;
-  cfg.f = 1;
-  cfg.algorithm = runner::Algorithm::kVanilla;
-  cfg.collector_limit = 6;
-  cfg.collector_timeout = sim::from_millis(200);
-  cfg.block_interval = sim::from_millis(150);
-  cfg.sync_interval = sim::from_millis(400);
-  cfg.retry_interval = sim::from_millis(300);
-  cfg.ledger_mode = GetParam();
-  cfg.timeout_propose = sim::from_seconds(120);
-  TxSubmitCut node2_transport(hub.transport(2), sim, sim::from_millis(100),
-                              sim::from_millis(2500));
+  LoopbackCluster cl(runner::Algorithm::kVanilla, GetParam());
+  cl.cfg.retry_interval = sim::from_millis(300);
+  cl.cfg.timeout_propose = sim::from_seconds(120);
+  const TxSubmitCut* node2_transport = nullptr;
+  cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
+    if (c.id != 2) return nullptr;
+    auto cut = std::make_unique<TxSubmitCut>(t, cl.sim, sim::from_millis(100),
+                                             sim::from_millis(2500));
+    node2_transport = cut.get();
+    return cut;
+  });
 
-  std::vector<std::unique_ptr<NodeHost>> hosts;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    NodeHostConfig c = cfg;
-    c.id = i;
-    ITransport& t = (i == 2) ? static_cast<ITransport&>(node2_transport) : hub.transport(i);
-    hosts.push_back(std::make_unique<NodeHost>(c, sim, t));
-    hosts.back()->start();
-  }
-  crypto::Pki pki(cfg.seed);
-  for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
-    pki.register_process(p);
-  }
-
-  RemoteNode node2(std::make_unique<LoopbackRpcChannel>(hub, 2), 2);
-  const auto elements = make_workload(cfg, 8, pki);
-  sim.run_until(sim.now() + sim::from_millis(150));  // enter the cut window
+  RemoteNode node2(std::make_unique<LoopbackRpcChannel>(cl.hub, 2), 2);
+  const auto elements = make_workload(cl.cfg, 8, cl.pki);
+  cl.sim.run_until(cl.sim.now() + sim::from_millis(150));  // enter the cut window
   for (const auto& e : elements) EXPECT_TRUE(node2.add(e));
 
-  const auto consolidated = [&] {
-    for (const auto& h : hosts) {
-      const auto snap = h->server().get();
-      std::size_t in_history = 0;
-      for (const auto& rec : *snap.history) in_history += rec.ids.size();
-      if (in_history < elements.size()) return false;
-    }
-    return true;
-  };
-  const sim::Time deadline = sim.now() + sim::from_seconds(60);
-  while (sim.now() < deadline && !consolidated()) {
-    sim.run_until(sim.now() + sim::from_millis(250));
-  }
-  EXPECT_GT(node2_transport.cut(), 0u)
+  cl.pump_until([&] { return cl.consolidated(elements.size()); }, 60);
+  EXPECT_GT(node2_transport->cut(), 0u)
       << "the cut window never saw a submit — the regression is untested";
-  EXPECT_TRUE(consolidated())
+  EXPECT_TRUE(cl.consolidated(elements.size()))
       << "elements submitted through the severed link never committed";
-  const auto safety = core::check_safety(
-      {&hosts[0]->server(), &hosts[1]->server(), &hosts[2]->server(),
-       &hosts[3]->server()});
+  const auto safety = core::check_safety(cl.servers());
   EXPECT_TRUE(safety.ok()) << safety.to_string();
 }
 

@@ -12,107 +12,12 @@
 
 #include <algorithm>
 
-#include "api/quorum_client.hpp"
-#include "net/remote_node.hpp"
 #include "net_fixture.hpp"
 
 namespace setchain::net {
 namespace {
 
 using namespace setchain::net::testing;
-
-struct LoopbackCluster {
-  NodeHostConfig cfg;
-  sim::Simulation sim;
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NodeHost>> hosts;
-  crypto::Pki pki;  ///< client-side PKI (same seed -> same keys as daemons)
-
-  explicit LoopbackCluster(runner::Algorithm algo, std::uint32_t n = 4)
-      : cfg(make_config(algo, n)), hub(sim, n), pki(cfg.seed) {
-    for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
-      pki.register_process(p);
-    }
-  }
-
-  static NodeHostConfig make_config(runner::Algorithm algo, std::uint32_t n) {
-    NodeHostConfig cfg;
-    cfg.n = n;
-    cfg.f = (n - 1) / 3;
-    cfg.algorithm = algo;
-    cfg.seed = 42;
-    cfg.collector_limit = 6;
-    cfg.collector_timeout = sim::from_millis(200);
-    cfg.block_interval = sim::from_millis(150);
-    cfg.sync_interval = sim::from_millis(400);
-    return cfg;
-  }
-
-  void start() {
-    for (std::uint32_t i = 0; i < cfg.n; ++i) {
-      NodeHostConfig c = cfg;
-      c.id = i;
-      hosts.push_back(std::make_unique<NodeHost>(c, sim, hub.transport(i)));
-      hosts.back()->start();
-    }
-  }
-
-  api::QuorumClient client(std::vector<std::unique_ptr<RemoteNode>>& stubs) {
-    for (std::uint32_t i = 0; i < cfg.n; ++i) {
-      stubs.push_back(std::make_unique<RemoteNode>(
-          std::make_unique<LoopbackRpcChannel>(hub, i), i));
-    }
-    return api::make_quorum_client(stubs, pki, cfg.f, core::Fidelity::kFull,
-                                   api::WritePolicy::kAll);
-  }
-
-  void pump_seconds(double s) { sim.run_until(sim.now() + sim::from_seconds(s)); }
-
-  /// Pump until `pred` holds (checked every virtual 250 ms). False on
-  /// virtual-time budget exhaustion.
-  bool pump_until(const std::function<bool()>& pred, double budget_seconds = 120) {
-    const sim::Time deadline = sim.now() + sim::from_seconds(budget_seconds);
-    while (sim.now() < deadline) {
-      if (pred()) return true;
-      sim.run_until(sim.now() + sim::from_millis(250));
-    }
-    return pred();
-  }
-
-  std::vector<const core::SetchainServer*> servers() const {
-    std::vector<const core::SetchainServer*> out;
-    for (const auto& h : hosts) out.push_back(&h->server());
-    return out;
-  }
-
-  bool all_consolidated(std::size_t expect) const {
-    for (const auto& h : hosts) {
-      const auto snap = h->server().get();
-      std::size_t in_history = 0;
-      for (const auto& rec : *snap.history) in_history += rec.ids.size();
-      if (in_history < expect) return false;
-    }
-    return true;
-  }
-
-  bool liveness_green(const std::vector<core::ElementId>& accepted) const {
-    return core::check_liveness_quiescent(servers(), accepted, hosts[0]->params(),
-                                          hosts[0]->pki())
-        .ok();
-  }
-};
-
-/// Drive the workload through the full wire path and return accepted ids.
-std::vector<core::ElementId> drive(api::QuorumClient& client,
-                                   const std::vector<core::Element>& elements) {
-  std::vector<core::ElementId> accepted;
-  for (const auto& e : elements) {
-    const auto r = client.add(e);
-    EXPECT_TRUE(r.ok) << "add refused everywhere, element " << e.id;
-    if (r.ok) accepted.push_back(e.id);
-  }
-  return accepted;
-}
 
 class LoopbackClusterConformance
     : public ::testing::TestWithParam<runner::Algorithm> {};
@@ -132,7 +37,7 @@ TEST_P(LoopbackClusterConformance, WireClusterMatchesSimReference) {
   ASSERT_EQ(accepted.size(), elements.size());
 
   // Drain: consolidation everywhere, then the proof traffic behind P8.
-  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(accepted.size()); }))
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }))
       << "cluster never consolidated the workload";
   ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }))
       << "epoch-proof traffic never reached quiescence";
@@ -200,7 +105,7 @@ TEST(LoopbackClusterFaults, DirectedDropWindowHealsViaBlockSync) {
 
   // After the heal, node 2 recovers the lost heights via kBlockSyncRequest
   // and the whole cluster converges to full liveness.
-  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(accepted.size()); }))
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }))
       << "victim node never caught up past the drop window";
   ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }));
   const auto safety = core::check_safety(cl.servers());
@@ -226,7 +131,7 @@ TEST(LoopbackClusterFaults, PartitionedReplicaRejoins) {
   const auto accepted = drive(client, elements);
   ASSERT_EQ(accepted.size(), elements.size());
 
-  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(accepted.size()); }))
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }))
       << "partitioned node never rejoined";
   ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }));
   EXPECT_GT(cl.hub.faults()->stats().dropped_partition, 0u);
@@ -236,11 +141,12 @@ TEST(LoopbackClusterFaults, PartitionedReplicaRejoins) {
   EXPECT_TRUE(safety.ok()) << safety.to_string();
 }
 
-/// ITransport pass-through that notes, on the simulated clock, when its node
-/// handles a kBatchRequest and when it sends a kBatchResponse.
-class BatchExchangeTap final : public ITransport {
+/// Pass-through that notes, on the simulated clock, when its node handles a
+/// kBatchRequest and when it sends a kBatchResponse.
+class BatchExchangeTap final : public ForwardingTransport {
  public:
-  BatchExchangeTap(ITransport& inner, sim::Simulation& sim) : inner_(inner), sim_(sim) {}
+  BatchExchangeTap(ITransport& inner, sim::Simulation& sim)
+      : ForwardingTransport(inner), sim_(sim) {}
 
   void set_handler(FrameHandler handler) override {
     inner_.set_handler([this, handler = std::move(handler)](EndpointId from,
@@ -253,17 +159,11 @@ class BatchExchangeTap final : public ITransport {
     if (type == wire::MsgType::kBatchResponse) responses_sent.push_back(sim_.now());
     return inner_.send(to, type, payload);
   }
-  std::size_t poll(std::chrono::milliseconds max_wait) override {
-    return inner_.poll(max_wait);
-  }
-  std::uint32_t self() const override { return inner_.self(); }
-  Counters counters() const override { return inner_.counters(); }
 
   std::vector<sim::Time> requests_handled;
   std::vector<sim::Time> responses_sent;
 
  private:
-  ITransport& inner_;
   sim::Simulation& sim_;
 };
 
@@ -271,19 +171,17 @@ class BatchExchangeTap final : public ITransport {
 // virtual instant it handles it, with no modeled serving cost in between.
 TEST(LoopbackClusterBatchExchange, ResponseLeavesWhenRequestIsHandled) {
   LoopbackCluster cl(runner::Algorithm::kHashchain);
-  std::vector<std::unique_ptr<BatchExchangeTap>> taps;
-  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
-    NodeHostConfig c = cl.cfg;
-    c.id = i;
-    taps.push_back(std::make_unique<BatchExchangeTap>(cl.hub.transport(i), cl.sim));
-    cl.hosts.push_back(std::make_unique<NodeHost>(c, cl.sim, *taps.back()));
-    cl.hosts.back()->start();
-  }
+  std::vector<const BatchExchangeTap*> taps;
+  cl.start([&](const NodeHostConfig&, ITransport& t) {
+    auto tap = std::make_unique<BatchExchangeTap>(t, cl.sim);
+    taps.push_back(tap.get());
+    return tap;
+  });
 
   // Node 0 alone batches the workload, so every other node fetches from it.
   const auto elements = make_workload(cl.cfg, 12, cl.pki);
   for (const auto& e : elements) ASSERT_TRUE(cl.hosts[0]->server().add(e));
-  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(elements.size()); }));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(elements.size()); }));
 
   const BatchExchangeTap& holder = *taps[0];
   ASSERT_FALSE(holder.responses_sent.empty()) << "nobody fetched from node 0";
@@ -316,7 +214,7 @@ TEST(LoopbackClusterRobustness, MalformedPayloadsAreCountedAndIgnored) {
   std::vector<std::unique_ptr<RemoteNode>> stubs;
   api::QuorumClient client = cl.client(stubs);
   const auto accepted = drive(client, elements);
-  ASSERT_TRUE(cl.pump_until([&] { return cl.all_consolidated(accepted.size()); }));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
 }
 
 }  // namespace

@@ -2,16 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
+#include "api/quorum_client.hpp"
 #include "core/compresschain.hpp"
 #include "core/hashchain.hpp"
 #include "core/invariants.hpp"
 #include "core/vanilla.hpp"
 #include "ledger/ledger_node.hpp"
+#include "net/byzantine_transport.hpp"
+#include "net/loopback.hpp"
 #include "net/node_host.hpp"
+#include "net/remote_node.hpp"
 
 namespace setchain::net::testing {
 
@@ -140,5 +146,149 @@ inline void assert_cluster_matches_reference(
   }
   EXPECT_EQ(live_set, reference.the_set) << label;
 }
+
+/// Per-node transport decorator for a test cluster: given a node's config
+/// and its bare transport, return the transport its NodeHost should use
+/// instead, or nullptr to leave that node bare.
+using TransportWrapper =
+    std::function<std::unique_ptr<ITransport>(const NodeHostConfig&, ITransport&)>;
+
+/// The transport node `c.id` should run on: `bare`, or what `wrap` puts in
+/// front of it (kept alive in `owned`).
+inline ITransport& wrap_transport(const TransportWrapper& wrap, const NodeHostConfig& c,
+                                  ITransport& bare,
+                                  std::vector<std::unique_ptr<ITransport>>& owned) {
+  if (!wrap) return bare;
+  std::unique_ptr<ITransport> w = wrap(c, bare);
+  if (!w) return bare;
+  owned.push_back(std::move(w));
+  return *owned.back();
+}
+
+/// Node `byz` runs behind the Byzantine adversary; every other node is bare.
+inline TransportWrapper byzantine_node(std::uint32_t byz) {
+  return [byz](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
+    if (c.id != byz) return nullptr;
+    return std::make_unique<ByzantineTransport>(t, c);
+  };
+}
+
+/// Drive the workload through the full wire path and return accepted ids.
+inline std::vector<core::ElementId> drive(api::QuorumClient& client,
+                                          const std::vector<core::Element>& elements) {
+  std::vector<core::ElementId> accepted;
+  for (const auto& e : elements) {
+    const auto r = client.add(e);
+    EXPECT_TRUE(r.ok) << "add refused everywhere, element " << e.id;
+    if (r.ok) accepted.push_back(e.id);
+  }
+  return accepted;
+}
+
+/// n NodeHosts — the exact stack a TCP daemon runs — on one LoopbackHub
+/// and one shared discrete-event simulation, under either ledger mode.
+struct LoopbackCluster {
+  NodeHostConfig cfg;
+  sim::Simulation sim;
+  LoopbackHub hub;
+  std::vector<std::unique_ptr<ITransport>> wrappers;  ///< outlive the hosts
+  std::vector<std::unique_ptr<NodeHost>> hosts;
+  crypto::Pki pki;  ///< client-side PKI (same seed -> same keys as daemons)
+
+  explicit LoopbackCluster(runner::Algorithm algo,
+                           runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer,
+                           std::uint64_t seed = 42, std::uint32_t n = 4)
+      : cfg(make_config(algo, mode, seed, n)), hub(sim, n), pki(cfg.seed) {
+    for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
+      pki.register_process(p);
+    }
+  }
+
+  static NodeHostConfig make_config(runner::Algorithm algo, runner::LedgerMode mode,
+                                    std::uint64_t seed, std::uint32_t n) {
+    NodeHostConfig cfg;
+    cfg.n = n;
+    cfg.f = (n - 1) / 3;
+    cfg.algorithm = algo;
+    cfg.seed = seed;
+    cfg.collector_limit = 6;
+    cfg.collector_timeout = sim::from_millis(200);
+    cfg.block_interval = sim::from_millis(150);
+    cfg.sync_interval = sim::from_millis(400);
+    cfg.ledger_mode = mode;
+    if (mode == runner::LedgerMode::kConsensus) {
+      // Rounds must skip past a dead proposer well inside the test budget.
+      cfg.timeout_propose = sim::from_millis(600);
+      cfg.retry_interval = sim::from_millis(200);
+    }
+    return cfg;
+  }
+
+  /// Boot every node, each on its hub transport or on what `wrap` puts in
+  /// front of it.
+  void start(const TransportWrapper& wrap = {}) {
+    for (std::uint32_t i = 0; i < cfg.n; ++i) {
+      NodeHostConfig c = cfg;
+      c.id = i;
+      ITransport& t = wrap_transport(wrap, c, hub.transport(i), wrappers);
+      hosts.push_back(std::make_unique<NodeHost>(c, sim, t));
+      hosts.back()->start();
+    }
+  }
+
+  const ConsensusLedger* cons(std::uint32_t i) const {
+    return dynamic_cast<const ConsensusLedger*>(&hosts[i]->ledger());
+  }
+
+  api::QuorumClient client(std::vector<std::unique_ptr<RemoteNode>>& stubs) {
+    for (std::uint32_t i = 0; i < cfg.n; ++i) {
+      stubs.push_back(std::make_unique<RemoteNode>(
+          std::make_unique<LoopbackRpcChannel>(hub, i), i));
+    }
+    return api::make_quorum_client(stubs, pki, cfg.f, core::Fidelity::kFull,
+                                   api::WritePolicy::kAll);
+  }
+
+  void pump_seconds(double s) { sim.run_until(sim.now() + sim::from_seconds(s)); }
+
+  /// Pump until `pred` holds (checked every virtual 250 ms). False on
+  /// virtual-time budget exhaustion.
+  bool pump_until(const std::function<bool()>& pred, double budget_seconds = 120) {
+    const sim::Time deadline = sim.now() + sim::from_seconds(budget_seconds);
+    while (sim.now() < deadline) {
+      if (pred()) return true;
+      sim.run_until(sim.now() + sim::from_millis(250));
+    }
+    return pred();
+  }
+
+  /// Correct-server views, skipping crashed or Byzantine node indices.
+  std::vector<const core::SetchainServer*> servers(
+      const std::vector<std::uint32_t>& skip = {}) const {
+    std::vector<const core::SetchainServer*> out;
+    for (std::uint32_t i = 0; i < hosts.size(); ++i) {
+      if (std::find(skip.begin(), skip.end(), i) != skip.end()) continue;
+      out.push_back(&hosts[i]->server());
+    }
+    return out;
+  }
+
+  bool consolidated(std::size_t expect, const std::vector<std::uint32_t>& skip = {}) const {
+    for (const core::SetchainServer* s : servers(skip)) {
+      const auto snap = s->get();
+      std::size_t in_history = 0;
+      for (const auto& rec : *snap.history) in_history += rec.ids.size();
+      if (in_history < expect) return false;
+    }
+    return true;
+  }
+
+  bool liveness_green(const std::vector<core::ElementId>& accepted,
+                      const std::vector<std::uint32_t>& skip = {}) const {
+    return core::check_liveness_quiescent(servers(skip), accepted, hosts[0]->params(),
+                                          hosts[0]->pki())
+        .ok();
+  }
+};
 
 }  // namespace setchain::net::testing

@@ -45,6 +45,7 @@ struct Cluster {
   NodeHostConfig cfg;
   std::vector<std::unique_ptr<sim::Simulation>> sims;
   std::vector<std::unique_ptr<TcpTransport>> transports;
+  std::vector<std::unique_ptr<ITransport>> wrappers;  ///< outlive the hosts
   std::vector<std::unique_ptr<NodeHost>> hosts;
   std::vector<std::thread> pumps;
   // One stop flag per node so a single node can be killed mid-run.
@@ -52,8 +53,10 @@ struct Cluster {
   bool stopped = false;
   crypto::Pki pki;
 
+  /// `wrap` (optional) puts a decorator in front of a node's TcpTransport.
   explicit Cluster(runner::Algorithm algo,
-                   runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer)
+                   runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer,
+                   const TransportWrapper& wrap = {})
       : cfg(make_config(algo, mode)), pki(cfg.seed) {
     for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
       pki.register_process(p);
@@ -82,7 +85,8 @@ struct Cluster {
       NodeHostConfig c = cfg;
       c.id = i;
       sims.push_back(std::make_unique<sim::Simulation>());
-      hosts.push_back(std::make_unique<NodeHost>(c, *sims[i], *transports[i]));
+      ITransport& t = wrap_transport(wrap, c, *transports[i], wrappers);
+      hosts.push_back(std::make_unique<NodeHost>(c, *sims[i], t));
     }
   }
 
@@ -308,6 +312,58 @@ TEST(TcpCluster, ConsensusSurvivesProposerKill) {
   assert_cluster_matches_reference(survivors, accepted, created,
                                    cl.hosts[0]->params(), cl.hosts[0]->pki(),
                                    reference, "vanilla/consensus-kill");
+}
+
+// The Byzantine scenario on real sockets and threads: node 1's TcpTransport
+// is wrapped by the adversary. Judged on counters, not log text: every
+// honest node masks node 1, the garbage-signature vote dies in batch
+// verification, the impersonated vote dies at the identity gate — and a
+// QuorumClient still commits every element.
+TEST(TcpCluster, ByzantineNodeIsMaskedOverSockets) {
+  Cluster cl(runner::Algorithm::kVanilla, runner::LedgerMode::kConsensus,
+             byzantine_node(1));
+  cl.start();
+
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  const auto elements = make_workload(cl.cfg, 24, cl.pki);
+  std::vector<core::ElementId> accepted;
+  for (const auto& e : elements) {
+    const auto r = client.add(e);
+    EXPECT_TRUE(r.ok) << "add refused everywhere for " << e.id;
+    if (r.ok) accepted.push_back(e.id);
+  }
+  ASSERT_EQ(accepted.size(), elements.size());
+
+  const auto deadline = std::chrono::steady_clock::now() + 90s;
+  const auto wait_for = [&](const std::function<bool()>& pred) {
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (pred()) return true;
+      std::this_thread::sleep_for(100ms);
+    }
+    return pred();
+  };
+  ASSERT_TRUE(wait_for([&] {
+    for (const auto id : accepted) {
+      if (!client.verify(id).committed) return false;
+    }
+    return true;
+  })) << "the quorum client never saw every element committed";
+
+  // Counters are read after the pumps stop (they are pump-thread state).
+  cl.shutdown();
+  std::uint64_t sig_rejects = 0;
+  std::uint64_t bad = 0;
+  for (const std::uint32_t i : {0u, 2u, 3u}) {
+    const auto* c = dynamic_cast<const ConsensusLedger*>(&cl.hosts[i]->ledger());
+    ASSERT_NE(c, nullptr);
+    EXPECT_TRUE(c->masked(1)) << "honest node " << i << " never masked node 1";
+    EXPECT_FALSE(c->masked(i)) << "honest node " << i << " masked itself";
+    sig_rejects += c->vote_sig_rejects();
+    bad += cl.hosts[i]->bad_frames();
+  }
+  EXPECT_GT(sig_rejects, 0u) << "the garbage-signature forgery was never rejected";
+  EXPECT_GT(bad, 0u) << "the impersonated vote passed the identity gate";
 }
 
 // Reconnect-with-backoff: a client channel outlives a node... covered at the

@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "net/byzantine_transport.hpp"
 #include "net/node_host.hpp"
 #include "net/tcp.hpp"
 #include "storage/storage.hpp"
@@ -43,9 +45,11 @@ void usage(const char* argv0) {
       "--data-dir makes the node durable: committed blocks are WAL-logged\n"
       "there, snapshots compact the log every E epochs (default 8), and a\n"
       "restart recovers the node's state from disk before it rejoins.\n"
-      "--byz-consensus (TEST ONLY, consensus mode) runs this node as a\n"
-      "Byzantine adversary: it equivocates proposals, double-votes, forges\n"
-      "votes and serves junk sync — honest peers must mask it and stay live.\n",
+      "--byz-consensus (TEST ONLY, needs --ledger consensus) wraps this\n"
+      "node's TCP transport in the Byzantine adversary: its honest ledger's\n"
+      "outbound frames are rewritten into equivocating proposals, double\n"
+      "votes, forged votes and junk sync — honest peers must mask it and\n"
+      "stay live.\n",
       argv0);
 }
 
@@ -61,6 +65,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> peers;
   bool quiet = false;
   bool have_f = false;
+  bool byz_consensus = false;
 
   const auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -121,7 +126,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot-epochs") {
       cfg.snapshot_epochs = std::strtoull(need_value(i), nullptr, 10);
     } else if (arg == "--byz-consensus") {
-      cfg.byz_consensus = true;
+      byz_consensus = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -145,6 +150,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (listen.empty()) listen = peers[cfg.id];
+  if (byz_consensus && cfg.ledger_mode != runner::LedgerMode::kConsensus) {
+    std::fprintf(stderr,
+                 "setchain_node: --byz-consensus needs --ledger consensus "
+                 "(the adversary attacks consensus frames only)\n");
+    return 2;
+  }
 
   net::TcpConfig tcp;
   tcp.self = cfg.id;
@@ -169,7 +180,10 @@ int main(int argc, char** argv) {
 
     sim::Simulation sim;
     net::TcpTransport transport(tcp);
-    net::NodeHost host(cfg, sim, transport, store.get());
+    std::unique_ptr<net::ByzantineTransport> byz;
+    if (byz_consensus) byz = std::make_unique<net::ByzantineTransport>(transport, cfg);
+    net::NodeHost host(cfg, sim, byz ? static_cast<net::ITransport&>(*byz) : transport,
+                       store.get());
 
     if (store != nullptr) {
       std::string err;
