@@ -55,51 +55,39 @@ void CompresschainServer::on_crash(bool wipe) {
   collector_.clear();
 }
 
-void CompresschainServer::on_new_block(const ledger::Block& b) {
-  if (is_down()) return;
+sim::Time CompresschainServer::block_cost(const ledger::Block& b) const {
+  if (!params().validate) return 0;
   sim::Time cost = 0;
-  if (params().validate) {
-    const auto& table = ctx_.ledger->txs();
-    for (const auto idx : b.txs) {
-      const auto& tx = table.get(idx);
-      if (tx.kind != ledger::TxKind::kCompressedBatch &&
-          fidelity() == Fidelity::kCalibrated) {
-        cost += params().costs.check_tx_cost(tx.wire_size);
-        continue;
-      }
-      // Decompression over the (approximate) raw size plus per-entry checks.
-      std::uint64_t raw = tx.wire_size * 3;
-      std::uint64_t n_elements = 0;
-      std::uint64_t n_proofs = 0;
-      if (const auto* batch = tx.app_as<Batch>()) {
-        raw = batch->wire_size();
-        n_elements = batch->elements.size();
-        n_proofs = batch->proofs.size();
-      } else if (fidelity() == Fidelity::kFull) {
-        n_elements = raw / 450;  // pre-parse estimate; real work happens below
-      }
-      cost += params().costs.decompress_cost(raw);
-      cost += static_cast<sim::Time>(n_elements) * params().costs.validate_element;
-      // Piggybacked proof signatures go through the Ed25519 batch path:
-      // one amortized batch cost per compressed batch.
-      cost += params().costs.verify_batch_cost(n_proofs);
+  for (const ledger::Transaction* t : b.txs) {
+    const ledger::Transaction& tx = *t;
+    if (tx.kind != ledger::TxKind::kCompressedBatch &&
+        fidelity() == Fidelity::kCalibrated) {
+      cost += params().costs.check_tx_cost(tx.wire_size);
+      continue;
     }
+    // Decompression over the (approximate) raw size plus per-entry checks.
+    std::uint64_t raw = tx.wire_size * 3;
+    std::uint64_t n_elements = 0;
+    std::uint64_t n_proofs = 0;
+    if (const auto* batch = tx.app_as<Batch>()) {
+      raw = batch->wire_size();
+      n_elements = batch->elements.size();
+      n_proofs = batch->proofs.size();
+    } else if (fidelity() == Fidelity::kFull) {
+      n_elements = raw / 450;  // pre-parse estimate; real work happens below
+    }
+    cost += params().costs.decompress_cost(raw);
+    cost += static_cast<sim::Time>(n_elements) * params().costs.validate_element;
+    // Piggybacked proof signatures go through the Ed25519 batch path:
+    // one amortized batch cost per compressed batch.
+    cost += params().costs.verify_batch_cost(n_proofs);
   }
-  const sim::Time done = cpu_acquire(cost);
-  if (ctx_.sim) {
-    ctx_.sim->schedule_at(done, [this, &b, inc = incarnation()] {
-      if (inc == incarnation()) process_block(b);
-    });
-  } else {
-    process_block(b);
-  }
+  return cost;
 }
 
 void CompresschainServer::process_block(const ledger::Block& b) {
-  note_block_applied(b.height);
-  const auto& table = ctx_.ledger->txs();
-  for (const auto idx : b.txs) {
-    const auto& tx = table.get(idx);
+  for (const ledger::Transaction* t : b.txs) {
+    const ledger::Transaction& tx = *t;
     if (fidelity() == Fidelity::kFull) {
       const auto raw = codec::lz77_decompress(tx.data);
       if (!raw) continue;  // not a compressed batch (Byzantine garbage)

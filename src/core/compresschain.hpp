@@ -14,17 +14,17 @@ class CompresschainServer final : public SetchainServer {
   CompresschainServer(ServerContext ctx, crypto::ProcessId id);
 
   bool add(Element e) override;
-  void on_new_block(const ledger::Block& b);
 
   Collector& collector() { return collector_; }
   std::uint64_t batches_appended() const { return batches_appended_; }
 
  protected:
   void on_crash(bool wipe) override;
+  sim::Time block_cost(const ledger::Block& b) const override;
+  void process_block(const ledger::Block& b) override;
 
  private:
   void on_batch_ready(Batch&& batch);
-  void process_block(const ledger::Block& b);
   void process_batch(const Batch& batch, const ledger::Block& b);
 
   Collector collector_;

@@ -102,43 +102,29 @@ void HashchainServer::byz_announce_fake_hash() {
   append_hash_batch(h);
 }
 
-void HashchainServer::on_new_block(const ledger::Block& b) {
-  if (is_down()) return;  // a crashed node never sees this block (until sync)
+sim::Time HashchainServer::block_cost(const ledger::Block& b) const {
+  if (!params().hash_reversal) return 0;
   // Hash-batch announcement signatures are verified through the Ed25519
   // batch path: one amortized batch cost per block instead of a standalone
   // verify per announcement.
   sim::Time cost = 0;
   std::uint64_t n_hash_batches = 0;
-  const auto& table = ctx_.ledger->txs();
-  if (params().hash_reversal) {
-    for (const auto idx : b.txs) {
-      const auto& tx = table.get(idx);
-      if (tx.kind == ledger::TxKind::kHashBatch ||
-          (fidelity() == Fidelity::kFull && !tx.data.empty() &&
-           tx.data[0] == kHashBatchTag)) {
-        ++n_hash_batches;
-      } else {
-        cost += params().costs.check_tx_cost(tx.wire_size);
-      }
+  for (const ledger::Transaction* tx : b.txs) {
+    if (tx->kind == ledger::TxKind::kHashBatch ||
+        (fidelity() == Fidelity::kFull && !tx->data.empty() &&
+         tx->data[0] == kHashBatchTag)) {
+      ++n_hash_batches;
+    } else {
+      cost += params().costs.check_tx_cost(tx->wire_size);
     }
-    cost += params().costs.verify_batch_cost(n_hash_batches);
   }
-  const sim::Time done = cpu_acquire(cost);
-  if (ctx_.sim) {
-    ctx_.sim->schedule_at(done, [this, &b, inc = incarnation()] {
-      if (inc == incarnation()) process_block(b);
-    });
-  } else {
-    process_block(b);
-  }
+  return cost + params().costs.verify_batch_cost(n_hash_batches);
 }
 
 void HashchainServer::process_block(const ledger::Block& b) {
-  note_block_applied(b.height);
-  const auto& table = ctx_.ledger->txs();
   std::vector<HashBatchMsg> hbs;
-  for (const auto idx : b.txs) {
-    const auto& tx = table.get(idx);
+  for (const ledger::Transaction* t : b.txs) {
+    const ledger::Transaction& tx = *t;
     std::optional<HashBatchMsg> hb;
     if (fidelity() == Fidelity::kFull) {
       codec::Reader r(tx.data);

@@ -28,7 +28,6 @@ class HashchainServer final : public SetchainServer {
   HashchainServer(ServerContext ctx, crypto::ProcessId id);
 
   bool add(Element e) override;
-  void on_new_block(const ledger::Block& b);
 
   Collector& collector() { return collector_; }
   const BatchStore& store() const { return store_; }
@@ -65,6 +64,8 @@ class HashchainServer final : public SetchainServer {
  protected:
   void on_crash(bool wipe) override;
   void on_restart() override;
+  sim::Time block_cost(const ledger::Block& b) const override;
+  void process_block(const ledger::Block& b) override;
   void serialize_derived(codec::Writer& w) const override;
   bool restore_derived(codec::Reader& r) override;
 
@@ -90,7 +91,6 @@ class HashchainServer final : public SetchainServer {
   bool in_committee(const EpochHash& h) const;
 
   void on_batch_ready(Batch&& batch);
-  void process_block(const ledger::Block& b);
   void handle_hash_batch(const HashBatchMsg& hb, const ledger::Block& b);
   void append_hash_batch(const EpochHash& h);
   void batch_now_available(const EpochHash& h);

@@ -19,6 +19,24 @@ const std::vector<EpochProof>& SetchainServer::proofs_for_epoch(
   return proofs_[epoch_number - 1];
 }
 
+void SetchainServer::on_new_block(const ledger::Block& b) {
+  if (down_) return;  // a crashed node never sees this block (until replay)
+  const auto apply = [this, &b] {
+    applied_height_ = b.height;
+    process_block(b);
+  };
+  if (!has_simulated_cpu()) {
+    apply();
+    return;
+  }
+  // The CPU keeps per-server block order; a crash before completion kills
+  // the continuation with the incarnation that queued it.
+  const sim::Time done = cpu_acquire(block_cost(b));
+  ctx_.sim->schedule_at(done, [this, apply, inc = incarnation_] {
+    if (inc == incarnation_) apply();
+  });
+}
+
 void SetchainServer::crash(bool wipe) {
   if (down_) return;
   down_ = true;

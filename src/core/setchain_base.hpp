@@ -71,6 +71,13 @@ class SetchainServer : public api::ISetchainNode {
   /// (the pseudocode's assert, made total).
   bool add(Element e) override = 0;
 
+  /// The ledger's new_block(B) notification (FinalizeBlock). With a
+  /// simulated CPU (the DES) the block's modelled cost is charged and the
+  /// block is applied at the completion time, so the ledger must keep it
+  /// alive until then; without one (live nodes, InstantLedger harnesses) it
+  /// is applied before this returns. A down server ignores it.
+  void on_new_block(const ledger::Block& b);
+
   /// S.get_v(): (the_set, history, epoch, proofs) — views into live state.
   /// White-box accessor: always reflects the real state, even while down
   /// (invariant checkers inspect crashed servers through it).
@@ -134,6 +141,13 @@ class SetchainServer : public api::ISetchainNode {
   bool restore_state(codec::Reader& r);
 
  protected:
+  /// Modelled CPU cost of processing block `b`; charged only on a server
+  /// with a simulated CPU.
+  virtual sim::Time block_cost(const ledger::Block& b) const = 0;
+  /// Apply block `b` (the algorithm's new_block handler). applied_height()
+  /// already names `b` when this runs.
+  virtual void process_block(const ledger::Block& b) = 0;
+
   /// Subclass crash hooks: drop volatile per-algorithm state (collectors,
   /// fetch bookkeeping); `wipe` also clears ledger-derived stores. Called
   /// after the base class has handled the shared state.
@@ -183,8 +197,6 @@ class SetchainServer : public api::ISetchainNode {
   sim::Time cpu_acquire(sim::Time cost);
   bool has_simulated_cpu() const { return ctx_.cpus && !ctx_.cpus->empty(); }
 
-  /// Mark `height` applied (call at the top of process_block).
-  void note_block_applied(std::uint64_t height) { applied_height_ = height; }
   /// During a wiped-restart replay, epochs up to the pre-crash count are
   /// re-consolidated from the ledger — their proofs were already published
   /// by the previous life of this process and must not be appended again.

@@ -30,19 +30,14 @@ bool VanillaServer::add(Element e) {
   return true;
 }
 
-void VanillaServer::on_new_block(const ledger::Block& b) {
-  if (is_down()) return;  // a crashed node never sees this block (until sync)
-  // Charge the block's processing cost to this node's CPU, then apply the
-  // effects at completion time. BusyResource keeps per-server block order.
+sim::Time VanillaServer::block_cost(const ledger::Block& b) const {
   // Epoch-proof signatures are verified through the batch path, so the
   // whole block is charged one amortized batch cost instead of a standalone
   // verify per proof.
   sim::Time cost = 0;
   std::uint64_t n_proofs = 0;
-  const auto& table = ctx_.ledger->txs();
-  for (const auto idx : b.txs) {
-    const auto& tx = table.get(idx);
-    switch (tx.kind) {
+  for (const ledger::Transaction* tx : b.txs) {
+    switch (tx->kind) {
       case ledger::TxKind::kElement:
         cost += params().costs.validate_element;
         break;
@@ -50,29 +45,19 @@ void VanillaServer::on_new_block(const ledger::Block& b) {
         ++n_proofs;
         break;
       default:
-        cost += params().costs.check_tx_cost(tx.wire_size);
+        cost += params().costs.check_tx_cost(tx->wire_size);
         break;
     }
   }
-  cost += params().costs.verify_batch_cost(n_proofs);
-  const sim::Time done = cpu_acquire(cost);
-  if (ctx_.sim) {
-    ctx_.sim->schedule_at(done, [this, &b, inc = incarnation()] {
-      if (inc == incarnation()) process_block(b);
-    });
-  } else {
-    process_block(b);
-  }
+  return cost + params().costs.verify_batch_cost(n_proofs);
 }
 
 void VanillaServer::process_block(const ledger::Block& b) {
-  note_block_applied(b.height);
-  const auto& table = ctx_.ledger->txs();
   std::vector<Element> elements;
   std::vector<EpochProof> proofs;
 
-  for (const auto idx : b.txs) {
-    const auto& tx = table.get(idx);
+  for (const ledger::Transaction* t : b.txs) {
+    const ledger::Transaction& tx = *t;
     if (fidelity() == Fidelity::kFull) {
       // Parse from the wire; anything malformed (Byzantine garbage) is
       // skipped.

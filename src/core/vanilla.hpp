@@ -15,14 +15,13 @@ class VanillaServer final : public SetchainServer {
 
   bool add(Element e) override;
 
-  /// L.new_block(B) / ABCI FinalizeBlock handler (wire via
-  /// ledger->on_new_block).
-  void on_new_block(const ledger::Block& b);
-
   std::uint64_t elements_appended() const { return elements_appended_; }
 
+ protected:
+  sim::Time block_cost(const ledger::Block& b) const override;
+  void process_block(const ledger::Block& b) override;
+
  private:
-  void process_block(const ledger::Block& b);
   void append_proof(const EpochProof& p);
 
   std::uint64_t elements_appended_ = 0;

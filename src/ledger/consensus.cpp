@@ -6,6 +6,11 @@
 
 namespace setchain::ledger {
 
+namespace {
+constexpr std::uint32_t kVoteSize = 150;          ///< prevote/precommit wire bytes
+constexpr std::uint32_t kProposalOverhead = 200;  ///< block header bytes
+}  // namespace
+
 CometbftSim::CometbftSim(sim::Simulation& sim, sim::Network& net,
                          std::vector<sim::BusyResource>& cpus, ConsensusConfig cfg,
                          LedgerHooks hooks)
@@ -130,8 +135,8 @@ void CometbftSim::try_propose(std::uint64_t height, std::uint32_t round) {
 
   std::vector<TxIdx> txs =
       mempools_[proposer].reap(table_, cfg_.max_block_bytes, &proposed_);
-  if (txs.empty() && !cfg_.create_empty_blocks &&
-      byzantine_[proposer].garbage_txs_per_block == 0) {
+  // No empty blocks: CometBFT's create_empty_blocks=false default.
+  if (txs.empty() && byzantine_[proposer].garbage_txs_per_block == 0) {
     waiting_for_txs_ = true;  // woken by accept_into_mempool
     // On a lossy network the wake-up gossip may itself be lost (or the
     // transactions may be stranded in other nodes' mempools): keep nudging,
@@ -143,22 +148,23 @@ void CometbftSim::try_propose(std::uint64_t height, std::uint32_t round) {
 
   // Byzantine proposers may slip arbitrary transactions into their own
   // blocks without CheckTx (the application layer must survive this).
-  std::uint64_t bytes = cfg_.proposal_overhead;
+  std::uint64_t bytes = kProposalOverhead;
   for (std::uint32_t i = 0; i < byzantine_[proposer].garbage_txs_per_block; ++i) {
     if (!byzantine_[proposer].make_garbage) break;
     txs.push_back(table_.add(byzantine_[proposer].make_garbage()));
   }
-  for (const TxIdx idx : txs) {
-    bytes += table_.get(idx).wire_size;
-    if (idx >= proposed_.size()) proposed_.resize(idx + 1, false);
-    proposed_[idx] = true;
-  }
-
   auto block = std::make_shared<Block>();
   block->height = height;
   block->proposer = proposer;
   block->proposed_at = sim_.now();
-  block->txs = std::move(txs);
+  block->txs.reserve(txs.size());
+  for (const TxIdx idx : txs) {
+    const Transaction& tx = table_.get(idx);
+    bytes += tx.wire_size;
+    block->txs.push_back(&tx);
+    if (idx >= proposed_.size()) proposed_.resize(idx + 1, false);
+    proposed_[idx] = true;
+  }
   block->bytes = bytes;
 
   HeightState& st = height_state(height);
@@ -194,7 +200,7 @@ void CometbftSim::deliver_proposal(sim::NodeId node, std::uint64_t height) {
   deliver_prevote(node, node, height);  // own vote counts immediately
   for (sim::NodeId peer = 0; peer < cfg_.n; ++peer) {
     if (peer == node) continue;
-    net_.send(node, peer, cfg_.vote_size,
+    net_.send(node, peer, kVoteSize,
               [this, node, peer, height] { deliver_prevote(node, peer, height); });
   }
 }
@@ -213,7 +219,7 @@ void CometbftSim::deliver_prevote(sim::NodeId from, sim::NodeId at,
     deliver_precommit(at, at, height);
     for (sim::NodeId peer = 0; peer < cfg_.n; ++peer) {
       if (peer == at) continue;
-      net_.send(at, peer, cfg_.vote_size,
+      net_.send(at, peer, kVoteSize,
                 [this, at, peer, height] { deliver_precommit(at, peer, height); });
     }
   }
@@ -252,8 +258,8 @@ void CometbftSim::commit_at(sim::NodeId node, std::uint64_t height) {
     if (hooks_.on_block_committed) hooks_.on_block_committed(*st.block, sim_.now());
   }
 
-  for (const TxIdx idx : st.block->txs) {
-    mempools_[node].mark_committed(idx, table_.get(idx));
+  for (const Transaction* tx : st.block->txs) {
+    mempools_[node].mark_committed(tx->uid, *tx);
   }
 
   // A proposer cannot start height h+1 before committing height h: schedule
@@ -333,13 +339,13 @@ void CometbftSim::retry_height(std::uint64_t height) {
       if (peer == voter || net_.node_down(peer)) continue;
       if (st.sent_prevote[voter] &&
           !st.prevote_from[std::size_t{peer} * cfg_.n + voter]) {
-        net_.send(voter, peer, cfg_.vote_size, [this, voter, peer, height] {
+        net_.send(voter, peer, kVoteSize, [this, voter, peer, height] {
           deliver_prevote(voter, peer, height);
         });
       }
       if (st.sent_precommit[voter] &&
           !st.precommit_from[std::size_t{peer} * cfg_.n + voter]) {
-        net_.send(voter, peer, cfg_.vote_size, [this, voter, peer, height] {
+        net_.send(voter, peer, kVoteSize, [this, voter, peer, height] {
           deliver_precommit(voter, peer, height);
         });
       }

@@ -28,9 +28,6 @@ struct ConsensusConfig {
   sim::Time timeout_commit = sim::from_seconds(1.15);
   std::uint64_t max_block_bytes = 500'000;
   sim::Time timeout_propose = sim::from_seconds(3.0);
-  std::uint32_t vote_size = 150;          ///< prevote/precommit wire bytes
-  std::uint32_t proposal_overhead = 200;  ///< block header bytes
-  bool create_empty_blocks = false;       ///< CometBFT default behaviour
   /// Retransmission / catch-up cadence on lossy networks (fault injection):
   /// stuck heights re-disseminate their proposal and recorded votes, and
   /// waiting proposers trigger a mempool re-gossip, every this often (with
@@ -82,7 +79,6 @@ class CometbftSim final : public IBlockLedger {
   // IBlockLedger
   TxIdx append(sim::NodeId origin, Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const Block&)> cb) override;
-  const TxTable& txs() const override { return table_; }
   std::uint64_t height() const override { return chain_.size(); }
 
   /// Start the proposal schedule. Call once before running the simulation.

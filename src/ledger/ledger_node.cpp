@@ -25,10 +25,10 @@ bool InstantLedger::seal_block(sim::Time now) {
   std::uint64_t used = 0;
   std::size_t taken = 0;
   for (; taken < pending_.size(); ++taken) {
-    const std::uint32_t sz = table_.get(pending_[taken]).wire_size;
-    if (!b.txs.empty() && used + sz > max_block_bytes_) break;
-    used += sz;
-    b.txs.push_back(pending_[taken]);
+    const Transaction& tx = table_.get(pending_[taken]);
+    if (!b.txs.empty() && used + tx.wire_size > max_block_bytes_) break;
+    used += tx.wire_size;
+    b.txs.push_back(&tx);
   }
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(taken));
   b.bytes = used;

@@ -14,11 +14,17 @@ namespace setchain::ledger {
 ///   P10 (Ledger-Consistent-Notification) same blocks, same order, and
 ///   P11 (Notification-Implies-Append) no spurious transactions.
 ///
-/// Two implementations:
-///  * CometbftSim  — the full Tendermint-style consensus simulation
-///                   (ledger/consensus.hpp), used by the experiments;
-///  * InstantLedger — a zero-latency deterministic ledger for algorithm unit
-///                   tests (this header).
+/// Implementations: CometbftSim (ledger/consensus.hpp), the Tendermint-style
+/// consensus simulation behind the experiments; InstantLedger (below), a
+/// zero-latency deterministic ledger for algorithm unit tests; and the live
+/// ledgers of src/net (net::IWireLedger).
+///
+/// Block lifetime: a delivered Block, and every Transaction it points to, is
+/// valid for the duration of the callback. The simulated ledgers keep each
+/// delivered block alive for their own lifetime, because a DES server defers
+/// its work on the block to the modelled completion time of its CPU. A live
+/// ledger keeps only the block's payload bytes; its servers, which have no
+/// simulated CPU, apply the block before the callback returns.
 class IBlockLedger {
  public:
   virtual ~IBlockLedger() = default;
@@ -30,7 +36,6 @@ class IBlockLedger {
   /// Register server `node`'s FinalizeBlock / new_block(B) callback.
   virtual void on_new_block(sim::NodeId node, std::function<void(const Block&)> cb) = 0;
 
-  virtual const TxTable& txs() const = 0;
   virtual std::uint64_t height() const = 0;
 };
 
@@ -44,8 +49,9 @@ class InstantLedger final : public IBlockLedger {
 
   TxIdx append(sim::NodeId origin, Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const Block&)> cb) override;
-  const TxTable& txs() const override { return table_; }
   std::uint64_t height() const override { return chain_.size(); }
+  /// Every appended tx, by the index append() returned.
+  const TxTable& txs() const { return table_; }
 
   /// Pack pending txs into one block and deliver it. Returns false when
   /// nothing was pending (no empty blocks, like CometBFT's

@@ -3,7 +3,7 @@
 namespace setchain::ledger {
 
 TxIdx TxTable::add(Transaction tx) {
-  const TxIdx idx = base_ + static_cast<TxIdx>(txs_.size());
+  const TxIdx idx = static_cast<TxIdx>(txs_.size());
   tx.uid = idx;
   txs_.push_back(std::move(tx));
   return idx;

@@ -42,36 +42,31 @@ struct Transaction {
   }
 };
 
+/// One ledger block as delivered to a server. `txs` points at transactions
+/// the delivering ledger owns; how long they stay valid is the ledger's
+/// lifetime rule (IBlockLedger).
 struct Block {
   std::uint64_t height = 0;  ///< 1-based
   sim::NodeId proposer = 0;
   sim::Time proposed_at = 0;
   sim::Time first_commit_at = 0;  ///< earliest commit across correct nodes
-  std::vector<TxIdx> txs;
+  std::vector<const Transaction*> txs;
   std::uint64_t bytes = 0;
 };
 
-/// Run-wide transaction arena. Appends only; uids are assigned sequentially
-/// so per-node dedup can use plain bit vectors. A recovered node restores
-/// only the committed suffix of the table: set_base() shifts the index
-/// origin so uids stay continuous with the pre-crash run while the dropped
-/// prefix costs no memory.
+/// Run-wide transaction arena of the simulated ledgers. Appends only; uids
+/// are assigned sequentially so per-node dedup can use plain bit vectors.
+/// A deque: references stay valid for the blocks that point into it.
 class TxTable {
  public:
   /// Stores `tx`, assigns its uid, returns its index (== uid).
   TxIdx add(Transaction tx);
 
-  const Transaction& get(TxIdx idx) const { return txs_[idx - base_]; }
-  std::size_t size() const { return base_ + txs_.size(); }
-
-  /// Declare that indices [0, base) are forgotten (snapshot recovery). Only
-  /// valid on an empty table; get() for a forgotten index is undefined.
-  void set_base(TxIdx base) { base_ = base; }
-  TxIdx base() const { return base_; }
+  const Transaction& get(TxIdx idx) const { return txs_[idx]; }
+  std::size_t size() const { return txs_.size(); }
 
  private:
   std::deque<Transaction> txs_;
-  TxIdx base_ = 0;
 };
 
 }  // namespace setchain::ledger

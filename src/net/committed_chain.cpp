@@ -18,7 +18,8 @@ CommittedChain::CommittedChain(CommittedChainConfig cfg, sim::Simulation& timers
       retry_tick_(std::max<sim::Time>(cfg_.retry_interval / 8, sim::from_millis(1))) {}
 
 void CommittedChain::start() {
-  timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
+  // A one-node cluster has no peer to pull from.
+  if (cfg_.n > 1) timers_.schedule_in(cfg_.sync_interval, [this] { sync_tick(); });
   timers_.schedule_in(retry_tick_, [this] { retry_tick(); });
 }
 
@@ -81,22 +82,23 @@ void CommittedChain::retry_tick() {
 codec::ByteView CommittedChain::commit(std::uint64_t height, std::uint32_t proposer,
                                        std::vector<ledger::Transaction>&& txs,
                                        codec::Bytes raw) {
-  ledger::Block& block = blocks_.emplace_back();
+  ledger::Block block;
   block.height = height;
   block.proposer = proposer;
   block.proposed_at = timers_.now();
   block.first_commit_at = timers_.now();
-  for (auto& tx : txs) {
-    std::string key = tx_dedup_key(tx);
+  for (ledger::Transaction& tx : txs) {
     // Committed keys are a pure function of the committed prefix, so every
     // node skips exactly the same duplicates.
-    if (!keys_.insert(key).second) continue;
-    if (const auto it = pooled_.find(key); it != pooled_.end()) {
+    const auto [key, fresh] = keys_.insert(tx_dedup_key(tx));
+    if (!fresh) continue;
+    if (const auto it = pooled_.find(*key); it != pooled_.end()) {
       pool_.erase(it->second);
       pooled_.erase(it);
     }
+    ++committed_txs_;
     block.bytes += tx.wire_size;
-    block.txs.push_back(table_.add(std::move(tx)));
+    block.txs.push_back(&tx);
   }
   // Encoders leave growth slack in their buffers; this copy lives as long
   // as the chain does.
@@ -140,7 +142,7 @@ void CommittedChain::serialize_state(codec::Writer& w, std::uint8_t version) con
   w.u8(version);
   w.varint(height_);
   w.varint(appended_);
-  w.varint(table_.size());
+  w.varint(committed_txs_);
   w.varint(keys_.size());
   for (const std::string& key : keys_) {
     w.lp_bytes(codec::ByteView(reinterpret_cast<const std::uint8_t*>(key.data()),
@@ -159,9 +161,7 @@ bool CommittedChain::restore_state(codec::Reader& r, std::uint8_t version) {
   height_ = *height;
   base_ = *height;  // everything below lives only in the snapshot
   appended_ = *appended;
-  // Keep uid assignment continuous with the pre-crash run even though the
-  // committed tx contents below the snapshot are gone.
-  table_.set_base(static_cast<ledger::TxIdx>(*tx_count));
+  committed_txs_ = *tx_count;
   keys_.clear();
   for (std::uint64_t i = 0; i < *key_count; ++i) {
     const auto key = r.lp_bytes();

@@ -66,17 +66,18 @@ struct CommittedChainConfig {
 ///    block. reap() packs the next block from the pool and leaves it there.
 ///  * commit(): one already-validated block at height()+1, given as
 ///    (height, proposer, txs, exact payload bytes). Duplicate content keys
-///    are skipped, the rest leave the pool and join the TxTable, the block
-///    and its payload are stored, then the commit hook (WAL) and the
-///    application callback fire, in that order.
+///    are skipped and the rest leave the pool; the payload is stored, then
+///    the commit hook (WAL) fires and the application callback gets a block
+///    over the handed-in txs, valid for that call only. Only the payload
+///    bytes and the content keys outlive commit().
 ///  * Sync: every node pulls blocks above its height from a rotating peer
 ///    and serves pulls from the stored payload bytes, verbatim.
 ///  * Snapshot state prefix (docs/STORAGE_FORMAT.md): version, height,
-///    submission ordinal, tx count, committed content keys. The pool is not
-///    persisted.
+///    submission ordinal, committed tx count, committed content keys. The
+///    pool is not persisted.
 ///
 /// Heights <= base (a restored snapshot's height) are compacted away: no
-/// block or payload storage, and sync cannot be served below them.
+/// payload storage, and sync cannot be served below them.
 class CommittedChain {
  public:
   using CommitHook = IWireLedger::CommitHook;
@@ -85,11 +86,11 @@ class CommittedChain {
   CommittedChain(CommittedChainConfig cfg, sim::Simulation& timers,
                  ITransport& transport);
 
-  /// Arm the sync pull and the submission retransmit timers.
+  /// Arm the sync pull (when a peer exists) and the submission retransmit
+  /// timers.
   void start();
 
   std::uint64_t height() const { return height_; }
-  const ledger::TxTable& txs() const { return table_; }
   /// The local submission ordinal IBlockLedger::append returns.
   ledger::TxIdx next_ordinal() { return static_cast<ledger::TxIdx>(appended_++); }
 
@@ -111,6 +112,7 @@ class CommittedChain {
 
   /// Apply the committed block at height()+1. `raw` is its durable payload:
   /// what the commit hook logs and sync serves. Returns the stored copy.
+  /// The application callback runs on `txs` before this returns.
   codec::ByteView commit(std::uint64_t height, std::uint32_t proposer,
                          std::vector<ledger::Transaction>&& txs, codec::Bytes raw);
 
@@ -145,10 +147,8 @@ class CommittedChain {
   ITransport& transport_;
   sim::Time retry_tick_;
 
-  ledger::TxTable table_;
-  /// blocks_[h-1-base_] / raw_[h-1-base_] is height h. A deque keeps block
-  /// references stable for the deferred work the servers schedule on them.
-  std::deque<ledger::Block> blocks_;
+  /// raw_[h-1-base_] is the payload of height h. A deque keeps the views
+  /// commit() returns stable.
   std::deque<codec::Bytes> raw_;
   /// Content keys of every committed tx. Persisted in snapshots: after a
   /// restart the WAL-gap replay re-publishes proofs it re-derives, and
@@ -164,6 +164,7 @@ class CommittedChain {
   std::uint64_t height_ = 0;
   std::uint64_t base_ = 0;
   std::uint64_t appended_ = 0;
+  std::uint64_t committed_txs_ = 0;  ///< over every height, snapshot included
   std::uint32_t sync_cursor_ = 0;
 };
 

@@ -755,7 +755,7 @@ bool ConsensusLedger::restore_state(codec::Reader& r) {
   return true;
 }
 
-bool ConsensusLedger::restore_block(codec::ByteView payload) {
+bool ConsensusLedger::restore_block(codec::Bytes payload) {
   // The WAL record IS a certified block: re-verify the certificate on
   // replay (a corrupted or truncated ledger entry must not resurrect as
   // committed state).
@@ -768,7 +768,7 @@ bool ConsensusLedger::restore_block(codec::ByteView payload) {
   // re-logged. Not-yet-started: skip_want_ may be empty, which assign() in
   // commit_block handles.
   if (skip_want_.size() != cfg_.n) skip_want_.assign(cfg_.n, 0);
-  commit_block(std::move(prop->block), codec::Bytes(payload.begin(), payload.end()));
+  commit_block(std::move(prop->block), std::move(payload));
   return true;
 }
 

@@ -138,7 +138,6 @@ class ConsensusLedger final : public IWireLedger {
   // ReplicatedLedger::append for why that is enough in live deployments).
   ledger::TxIdx append(sim::NodeId origin, ledger::Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const ledger::Block&)> cb) override;
-  const ledger::TxTable& txs() const override { return chain_.txs(); }
   std::uint64_t height() const override { return chain_.height(); }
 
   // Frame entry points (NodeHost routes inbound frames here).
@@ -161,7 +160,7 @@ class ConsensusLedger final : public IWireLedger {
   }
   void serialize_state(codec::Writer& w) const override;
   bool restore_state(codec::Reader& r) override;
-  bool restore_block(codec::ByteView payload) override;
+  bool restore_block(codec::Bytes payload) override;
 
   std::uint32_t current_round() const { return cur_round_; }
   std::uint32_t proposer_for(std::uint64_t height1based, std::uint32_t round) const {

@@ -137,19 +137,18 @@ bool NodeHost::recover(std::string* error) {
     }
   }
 
-  // 2. WAL gap -> the normal apply paths. Block records advance the ledger
-  // (firing the application callback exactly like a live delivery); batch
-  // records refill the Hashchain batch store so the deferred continuations
-  // those blocks schedule find their payloads locally instead of fetching.
-  bool replay_ok = true;
+  // 2. WAL gap, batch records first: they refill the Hashchain batch store,
+  // so the blocks replayed next find every batch the previous life held
+  // (a fetched batch is logged after the block that announced it).
+  std::vector<codec::Bytes> blocks;
   storage_->replay([&](storage::WalRecordKind kind, std::uint64_t height,
                        codec::ByteView payload) {
+    (void)height;
     switch (kind) {
       case storage::WalRecordKind::kBlock:
-        if (!ledger_->restore_block(payload)) replay_ok = false;
+        blocks.emplace_back(payload.begin(), payload.end());
         break;
       case storage::WalRecordKind::kBatch: {
-        (void)height;
         if (hashchain_ == nullptr || payload.size() <= sizeof(core::EpochHash)) break;
         core::EpochHash h;
         std::copy_n(payload.begin(), h.size(), h.begin());
@@ -159,30 +158,22 @@ bool NodeHost::recover(std::string* error) {
       }
     }
   });
-  if (!replay_ok) {
-    return fail("WAL replay: a block record did not re-apply (height gap "
-                "or corrupt payload past the verified prefix)");
-  }
 
-  // 3. Drain the deferred work the replayed blocks scheduled (process_block
-  // continuations, consolidation) so the server catches up to the ledger
-  // before the transport goes live. Bounded: a batch lost to a torn WAL
-  // tail would retry its (dead, transport-down) fetch forever here — break
-  // out and let the live fetch path heal it after start().
-  std::uint64_t guard = 0;
-  while (server_->applied_height() < ledger_->height()) {
-    const sim::Time next = sim_.next_event_at();
-    if (next == std::numeric_limits<sim::Time>::max()) break;
-    if (++guard > 200'000) break;
-    sim_.run_until(next);
+  // 3. Block records, in order, through the normal commit path: the server
+  // applies each one before the next is replayed.
+  for (codec::Bytes& block : blocks) {
+    if (!ledger_->restore_block(std::move(block))) {
+      return fail("WAL replay: a block record did not re-apply (height gap "
+                  "or corrupt payload past the verified prefix)");
+    }
   }
 
   // 4. Only NOW arm the durability hooks: everything replayed above is
   // already on disk, and re-logging it would double the WAL every restart.
   install_durability_hooks();
 
-  // 5. Nudge head-of-line consolidation in case the drain left a fully
-  // available epoch pending (e.g. the guard tripped or timers interleaved).
+  // 5. Resume head-of-line consolidation: a batch lost to a torn WAL tail
+  // is fetched by the live path once the transport is up.
   if (hashchain_ != nullptr) hashchain_->kick_recovery();
 
   last_snapshot_epoch_ = server_->epoch();
@@ -464,11 +455,13 @@ void NodeHost::send_response(crypto::ProcessId responder, crypto::ProcessId requ
                              const core::EpochHash& h, core::BatchPtr batch,
                              const codec::Bytes* serialized) {
   (void)responder;
-  wire::BatchResponse m;
-  m.hash = h;
-  m.batch = serialized != nullptr ? *serialized : core::serialize_batch(*batch);
-  transport_.send(requester, wire::MsgType::kBatchResponse,
-                  wire::encode_batch_response(m));
+  // Encoded straight from the store's bytes; a store entry without them
+  // (never at full fidelity) is serialized on the spot.
+  const codec::Bytes payload =
+      serialized != nullptr
+          ? wire::encode_batch_response(h, *serialized)
+          : wire::encode_batch_response(h, core::serialize_batch(*batch));
+  transport_.send(requester, wire::MsgType::kBatchResponse, payload);
 }
 
 void NodeHost::run_realtime(std::atomic<bool>& stop) {

@@ -75,14 +75,15 @@ class NodeHost final : public core::IBatchExchange {
            storage::Storage* storage = nullptr);
 
   /// Restore state from the attached Storage: load the newest valid
-  /// snapshot into the ledger + server, replay the WAL gap through the
-  /// normal block-apply path, drain the resulting deferred work, then
-  /// install the durability hooks so NEW commits get logged (replayed ones
-  /// are not re-logged). Call once, BEFORE start(); a fresh data directory
-  /// recovers to height 0 and just installs the hooks. Returns false (with
-  /// a diagnostic in `error`) when the on-disk state is unusable — config
-  /// mismatch or malformed snapshot body; torn WAL tails are repaired, not
-  /// errors. Without a Storage this is a no-op returning true.
+  /// snapshot into the ledger + server, restore the WAL gap's batch
+  /// records, replay its block records in order through the normal
+  /// block-apply path, then install the durability hooks so NEW commits get
+  /// logged (replayed ones are not re-logged). Call once, BEFORE start(); a
+  /// fresh data directory recovers to height 0 and just installs the
+  /// hooks. Returns false (with a diagnostic in `error`) when the on-disk
+  /// state is unusable — config mismatch or malformed snapshot body; torn
+  /// WAL tails are repaired, not errors. Without a Storage this is a no-op
+  /// returning true.
   bool recover(std::string* error = nullptr);
 
   /// Wire the transport handler and arm the ledger timers. Call once,

@@ -126,14 +126,13 @@ bool ReplicatedLedger::restore_state(codec::Reader& r) {
   return chain_.restore_state(r, kReplicatedStateVersion);
 }
 
-bool ReplicatedLedger::restore_block(codec::ByteView payload) {
+bool ReplicatedLedger::restore_block(codec::Bytes payload) {
   auto m = wire::parse_block(payload);
   if (!m || m->height != chain_.height() + 1) return false;
   // Commit directly — bypassing ingest()'s sequencer guard on purpose: a
   // restarted sequencer rebuilds its own sealed chain this way. The commit
   // hook is not installed during recovery, so nothing is re-logged.
-  chain_.commit(m->height, m->proposer, std::move(m->txs),
-                codec::Bytes(payload.begin(), payload.end()));
+  chain_.commit(m->height, m->proposer, std::move(m->txs), std::move(payload));
   return true;
 }
 

@@ -48,7 +48,6 @@ class ReplicatedLedger final : public IWireLedger {
   // deployments leave the metrics taps (the only consumers) unwired.
   ledger::TxIdx append(sim::NodeId origin, ledger::Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const ledger::Block&)> cb) override;
-  const ledger::TxTable& txs() const override { return chain_.txs(); }
   std::uint64_t height() const override { return chain_.height(); }
 
   // Frame entry points (NodeHost routes inbound ledger frames here).
@@ -66,7 +65,7 @@ class ReplicatedLedger final : public IWireLedger {
   }
   void serialize_state(codec::Writer& w) const override;
   bool restore_state(codec::Reader& r) override;
-  bool restore_block(codec::ByteView payload) override;
+  bool restore_block(codec::Bytes payload) override;
 
  private:
   void seal_tick();

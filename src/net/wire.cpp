@@ -764,10 +764,10 @@ std::optional<BatchRequest> parse_batch_request(codec::ByteView payload) {
   return finish(r, std::move(m));
 }
 
-codec::Bytes encode_batch_response(const BatchResponse& m) {
+codec::Bytes encode_batch_response(const core::EpochHash& hash, codec::ByteView batch) {
   codec::Writer w;
-  w.bytes(codec::ByteView(m.hash.data(), m.hash.size()));
-  w.lp_bytes(m.batch);
+  w.bytes(codec::ByteView(hash.data(), hash.size()));
+  w.lp_bytes(batch);
   return w.take();
 }
 
@@ -781,15 +781,6 @@ std::optional<BatchResponseView> parse_batch_response_view(codec::ByteView paylo
   if (!batch) return std::nullopt;
   m.batch = *batch;
   return finish(r, std::move(m));
-}
-
-std::optional<BatchResponse> parse_batch_response(codec::ByteView payload) {
-  const auto v = parse_batch_response_view(payload);
-  if (!v) return std::nullopt;
-  BatchResponse m;
-  m.hash = v->hash;
-  m.batch.assign(v->batch.begin(), v->batch.end());
-  return m;
 }
 
 }  // namespace setchain::net::wire

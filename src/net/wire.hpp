@@ -432,12 +432,7 @@ std::optional<BatchRequest> parse_batch_request(codec::ByteView payload);
 
 /// kBatchResponse: hash 64 raw, batch lp_bytes (serialize_batch output;
 /// the receiver re-parses and re-hashes — the responder may be Byzantine).
-struct BatchResponse {
-  core::EpochHash hash{};
-  codec::Bytes batch;
-};
-codec::Bytes encode_batch_response(const BatchResponse& m);
-std::optional<BatchResponse> parse_batch_response(codec::ByteView payload);
+codec::Bytes encode_batch_response(const core::EpochHash& hash, codec::ByteView batch);
 
 /// Zero-copy kBatchResponse: `batch` views into the payload (see TxView).
 struct BatchResponseView {

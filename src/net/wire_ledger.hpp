@@ -87,7 +87,7 @@ class IWireLedger : public ledger::IBlockLedger {
   /// commit path including the application callback, but never back out
   /// to the wire (NodeHost installs the commit hook only after replay, so
   /// nothing is re-logged). False on parse failure or height gap.
-  virtual bool restore_block(codec::ByteView payload) = 0;
+  virtual bool restore_block(codec::Bytes payload) = 0;
 };
 
 }  // namespace setchain::net

@@ -154,6 +154,10 @@ class RawHistoryServer final : public SetchainServer {
   RawHistoryServer(ServerContext ctx, crypto::ProcessId id) : SetchainServer(ctx, id) {}
   bool add(Element) override { return false; }
   void push_raw_record(EpochRecord rec) { history_.push_back(std::move(rec)); }
+
+ protected:
+  sim::Time block_cost(const ledger::Block&) const override { return 0; }
+  void process_block(const ledger::Block&) override {}
 };
 
 TEST_F(BatchPathFixture, ClientVerifyToleratesZeroNumberedEpochRecord) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "core/batch.hpp"
+#include "core/batch_exchange.hpp"
 #include "core/collector.hpp"
+#include "core/compresschain.hpp"
 #include "core/element.hpp"
+#include "core/hashchain.hpp"
 #include "core/proofs.hpp"
+#include "core/vanilla.hpp"
+#include "ledger/ledger_node.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
@@ -346,6 +352,50 @@ TEST(Collector, BatchUidsAreUniquePerOrigin) {
   std::set<std::uint64_t> uids;
   for (const auto& b : out) uids.insert(b.uid);
   EXPECT_EQ(uids.size(), 5u);
+}
+
+// ------------------------------------------------------------ Block delivery
+
+// A server without a simulated CPU (a live node) applies a block before the
+// ledger's new_block callback returns. A simulation clock in its context
+// does not defer the work: only a CPU to charge does.
+template <typename Server>
+class InlineBlockApply : public ::testing::Test {};
+using AllServers = ::testing::Types<VanillaServer, CompresschainServer, HashchainServer>;
+TYPED_TEST_SUITE(InlineBlockApply, AllServers);
+
+TYPED_TEST(InlineBlockApply, WithoutCpuTheBlockIsAppliedInsideTheCallback) {
+  sim::Simulation sim;
+  crypto::Pki pki(99);
+  pki.register_process(0);
+  pki.register_process(100);
+  ledger::InstantLedger ledger(1);
+  InProcessBatchExchange exchange;
+  SetchainParams params;
+  params.n = 1;
+  params.f = 0;  // one signer consolidates a Hashchain batch
+  params.fidelity = Fidelity::kFull;
+  params.collector_limit = 1;  // every element leaves its collector at once
+  params.collector_timeout = 0;
+
+  ServerContext ctx;
+  ctx.sim = &sim;  // a clock, but no ctx.cpus
+  ctx.batch_exchange = &exchange;
+  ctx.ledger = &ledger;
+  ctx.pki = &pki;
+  ctx.params = &params;
+  TypeParam server(ctx, 0);
+  ledger.on_new_block(0, [&server](const ledger::Block& b) { server.on_new_block(b); });
+  if constexpr (std::is_same_v<TypeParam, HashchainServer>) exchange.attach(server);
+
+  workload::ArbitrumLikeGenerator gen(4);
+  ElementFactory factory(gen, pki, Fidelity::kFull);
+  ASSERT_TRUE(server.add(factory.make(100, 1)));
+  ASSERT_TRUE(ledger.seal_block());
+
+  EXPECT_EQ(server.applied_height(), 1u);
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(sim.executed_events(), 0u) << "the simulation never ran";
 }
 
 }  // namespace

@@ -209,9 +209,9 @@ TEST(CometbftSim, EveryAppendedTxIsEventuallyInExactlyOneBlock) {
   Harness h(4);
   std::vector<int> seen_count;
   h.ledger->on_new_block(0, [&](const Block& b) {
-    for (const TxIdx idx : b.txs) {
-      if (idx >= seen_count.size()) seen_count.resize(idx + 1, 0);
-      ++seen_count[idx];
+    for (const Transaction* tx : b.txs) {
+      if (tx->uid >= seen_count.size()) seen_count.resize(tx->uid + 1, 0);
+      ++seen_count[tx->uid];
     }
   });
   h.ledger->start();
@@ -238,9 +238,7 @@ TEST(CometbftSim, BlockCapacityRespected) {
   ASSERT_GT(h.ledger->height(), 1u);
   for (std::uint64_t ht = 1; ht <= h.ledger->height(); ++ht) {
     std::uint64_t bytes = 0;
-    for (const TxIdx idx : h.ledger->block_at(ht).txs) {
-      bytes += h.ledger->txs().get(idx).wire_size;
-    }
+    for (const Transaction* tx : h.ledger->block_at(ht).txs) bytes += tx->wire_size;
     EXPECT_LE(bytes, 1000u) << "height " << ht;
   }
 }
@@ -304,8 +302,8 @@ TEST(CometbftSim, ByzantineProposerInjectsGarbageThatAppsMustFilter) {
   h.ledger->set_byzantine(1, byz);
   std::uint64_t garbage_seen = 0, normal_seen = 0;
   h.ledger->on_new_block(3, [&](const Block& b) {
-    for (const TxIdx idx : b.txs) {
-      if (h.ledger->txs().get(idx).kind == TxKind::kOpaque) {
+    for (const Transaction* tx : b.txs) {
+      if (tx->kind == TxKind::kOpaque) {
         ++garbage_seen;
       } else {
         ++normal_seen;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <tuple>
@@ -541,27 +542,42 @@ void inject_opaque_tx(LoopbackCluster& cl, std::size_t bytes, std::uint32_t clai
   }
 }
 
+// Node 0's committed txs, first commit of each content key, read off the
+// certified payloads its commit hook sees (a live ledger keeps no tx table).
+// `on_block` also gets each block's encoded size.
+void record_committed_txs(LoopbackCluster& cl, std::vector<ledger::Transaction>& out,
+                          std::function<void(std::size_t)> on_block = {}) {
+  cl.hosts[0]->ledger().set_commit_hook(
+      [&out, keys = std::set<std::string>{}, on_block = std::move(on_block)](
+          std::uint64_t, codec::ByteView payload) mutable {
+        const auto cert = wire::parse_certified_block(payload);
+        ASSERT_TRUE(cert.has_value());
+        auto prop = wire::parse_proposal(cert->proposal);
+        ASSERT_TRUE(prop.has_value());
+        if (on_block) on_block(prop->block_bytes_len);
+        for (ledger::Transaction& tx : prop->block.txs) {
+          if (keys.insert(tx_dedup_key(tx)).second) out.push_back(std::move(tx));
+        }
+      });
+}
+
 // Blocks are packed by encoded tx bytes, not by the sender-claimed
 // wire_size: three 300 KB txs claiming one byte each must commit in three
 // blocks, none of them over kMaxBlockBytes.
 TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
   LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   std::size_t largest_block = 0;
+  std::vector<ledger::Transaction> txs;
   cl.start();
-  cl.hosts[0]->ledger().set_commit_hook([&](std::uint64_t, codec::ByteView payload) {
-    const auto cert = wire::parse_certified_block(payload);
-    ASSERT_TRUE(cert.has_value());
-    const auto prop = wire::parse_proposal(cert->proposal);
-    ASSERT_TRUE(prop.has_value());
-    largest_block = std::max(largest_block, prop->block_bytes_len);
+  record_committed_txs(cl, txs, [&](std::size_t block_bytes) {
+    largest_block = std::max(largest_block, block_bytes);
   });
   for (std::uint8_t i = 0; i < 3; ++i) inject_opaque_tx(cl, 300'000, 1, i);
 
   const auto big_committed = [&] {
-    const ledger::TxTable& txs = cl.hosts[0]->ledger().txs();
     std::size_t big = 0;
-    for (ledger::TxIdx i = 0; i < txs.size(); ++i) {
-      if (txs.get(i).data.size() == 300'000) ++big;
+    for (const ledger::Transaction& tx : txs) {
+      if (tx.data.size() == 300'000) ++big;
     }
     return big;
   };
@@ -576,7 +592,9 @@ TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
 // proposal no frame can carry.
 TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
   LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  std::vector<ledger::Transaction> txs;
   cl.start();
+  record_committed_txs(cl, txs);
   inject_opaque_tx(cl, wire::kMaxPayloadBytes - 16, 1, 0x7E);
 
   const auto elements = make_workload(cl.cfg, 5, cl.pki);
@@ -586,9 +604,8 @@ TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
   ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }, 30))
       << "honest elements stalled behind an unblockable tx (height "
       << cl.hosts[0]->ledger().height() << ")";
-  const ledger::TxTable& txs = cl.hosts[0]->ledger().txs();
-  for (ledger::TxIdx i = 0; i < txs.size(); ++i) {
-    EXPECT_LT(txs.get(i).data.size(), kMaxBlockBytes);
+  for (const ledger::Transaction& tx : txs) {
+    EXPECT_LT(tx.data.size(), kMaxBlockBytes);
   }
 }
 

@@ -6,6 +6,7 @@
 // case no amount of peer catch-up can pass, only durable storage can.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -59,6 +60,13 @@ struct DurableCluster {
   /// Ledger height right after recover(), BEFORE the pump starts — the only
   /// race-free read of a live node's height the test thread gets.
   std::vector<std::uint64_t> recovered_height;
+  /// Read at the same point: the server's applied height and, on a
+  /// Hashchain node, the batch fetches it started. Recovery applies every
+  /// replayed block before returning and finds every logged batch locally.
+  std::vector<std::uint64_t> recovered_applied;
+  std::vector<std::uint64_t> recovered_fetches;
+  /// Hashchain batch fetches a node had started when it was killed.
+  std::vector<std::uint64_t> fetches_at_kill;
   bool stopped = false;
   crypto::Pki pki;
 
@@ -77,6 +85,9 @@ struct DurableCluster {
     hosts.resize(cfg.n);
     pumps.resize(cfg.n);
     recovered_height.resize(cfg.n, 0);
+    recovered_applied.resize(cfg.n, 0);
+    recovered_fetches.resize(cfg.n, 0);
+    fetches_at_kill.resize(cfg.n, 0);
     for (std::uint32_t i = 0; i < cfg.n; ++i) {
       stops.push_back(std::make_unique<std::atomic<bool>>(false));
     }
@@ -124,6 +135,13 @@ struct DurableCluster {
     std::string err;
     ASSERT_TRUE(hosts[i]->recover(&err)) << "node " << i << ": " << err;
     recovered_height[i] = hosts[i]->ledger().height();
+    recovered_applied[i] = hosts[i]->server().applied_height();
+    recovered_fetches[i] = fetches_started(i);
+  }
+
+  std::uint64_t fetches_started(std::uint32_t i) const {
+    const auto* h = dynamic_cast<const core::HashchainServer*>(&hosts[i]->server());
+    return h != nullptr ? h->fetches_started() : 0;
   }
 
   void run_node(std::uint32_t i) {
@@ -142,6 +160,7 @@ struct DurableCluster {
   std::uint64_t kill_node(std::uint32_t i) {
     if (!stops[i]->exchange(true) && pumps[i].joinable()) pumps[i].join();
     const std::uint64_t h = hosts[i]->ledger().height();
+    fetches_at_kill[i] = fetches_started(i);
     transports[i]->stop();
     hosts[i].reset();
     transports[i].reset();
@@ -280,6 +299,8 @@ TEST(RestartCluster, RollingRestartEveryNode) {
     // exactly what the dead process had applied.
     EXPECT_GT(cl.recovered_height[round], 0u) << "node " << round;
     EXPECT_EQ(cl.recovered_height[round], h_pre) << "node " << round;
+    EXPECT_EQ(cl.recovered_applied[round], cl.recovered_height[round])
+        << "node " << round;
   }
 
   // Tail of the workload with everyone alive, then full-drain convergence:
@@ -338,12 +359,15 @@ TEST(RestartCluster, WholeQuorumRestart) {
     // simultaneous crash is outside the paper's ≤f fault model: every
     // node's in-flight proof tx (and its retransmission state) dies at
     // once, so an epoch caught mid-publish could stay below f+1 proofs
-    // forever. Committed proofs are in the WAL and survive.
+    // forever. Committed proofs are in the WAL and survive. Waiting for
+    // all n proofs everywhere also means every proof batch was fetched at
+    // every node, so a fetch during recovery would be for a batch the WAL
+    // holds.
     ASSERT_TRUE(wait_until([&] {
       const auto view = client.get();
       for (auto& stub : stubs) {
         for (std::uint64_t e = 1; e <= view.epoch; ++e) {
-          if (stub->proofs_for_epoch(e).size() < cl.cfg.f + 1) return false;
+          if (stub->proofs_for_epoch(e).size() < cl.cfg.n) return false;
         }
       }
       return true;
@@ -365,6 +389,10 @@ TEST(RestartCluster, WholeQuorumRestart) {
 
   std::vector<std::uint64_t> h_pre(cl.cfg.n);
   for (std::uint32_t i = 0; i < cl.cfg.n; ++i) h_pre[i] = cl.kill_node(i);
+  // Some node fetched a batch announced by a block it had committed, so its
+  // batch record follows that block: recovery must not replay in WAL order.
+  EXPECT_GT(*std::max_element(cl.fetches_at_kill.begin(), cl.fetches_at_kill.end()), 0u)
+      << "no node fetched a batch before the kill";
   for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
     cl.restart_node(i);
     if (::testing::Test::HasFatalFailure()) return;
@@ -381,6 +409,10 @@ TEST(RestartCluster, WholeQuorumRestart) {
               cl.recovered_height[i])
         << "node " << i;
     EXPECT_EQ(cl.recovered_height[i], h_pre[i]) << "node " << i;
+    // Every replayed block was applied inside recover(), from batches the
+    // WAL held: no fetch left before the transport is up.
+    EXPECT_EQ(cl.recovered_applied[i], cl.recovered_height[i]) << "node " << i;
+    EXPECT_EQ(cl.recovered_fetches[i], 0u) << "node " << i;
   }
 
   // The rebooted cluster still holds the pre-kill workload (nothing but the
@@ -443,6 +475,18 @@ TEST(RestartCluster, ConsensusWholeQuorumRestart) {
       }
       return true;
     })) << "pre-kill epoch proofs never drained to every node";
+    // Then wait for all n proofs of every epoch everywhere: every proof
+    // batch is fetched at every node, so a node that fetches during
+    // recovery would be fetching a batch its WAL holds.
+    ASSERT_TRUE(wait_until([&] {
+      const auto view = client.get();
+      for (auto& stub : stubs) {
+        for (std::uint64_t e = 1; e <= view.epoch; ++e) {
+          if (stub->proofs_for_epoch(e).size() < cl.cfg.n) return false;
+        }
+      }
+      return true;
+    })) << "pre-kill epoch proofs never reached all n nodes";
   }
 
   std::vector<std::uint64_t> h_pre(cl.cfg.n);
@@ -497,6 +541,19 @@ TEST(RestartCluster, ConsensusWholeQuorumRestart) {
 //    exactly the node's committed transactions.
 class LedgerFormatPin : public ::testing::TestWithParam<runner::LedgerMode> {};
 
+/// The txs of one durable block payload: a certified block in consensus
+/// mode, a kBlock payload in sequencer mode. Empty when it does not parse.
+std::vector<ledger::Transaction> payload_txs(codec::ByteView payload, bool consensus) {
+  if (!consensus) {
+    auto m = wire::parse_block(payload);
+    return m ? std::move(m->txs) : std::vector<ledger::Transaction>{};
+  }
+  const auto cert = wire::parse_certified_block(payload);
+  if (!cert) return {};
+  auto prop = wire::parse_proposal(cert->proposal);
+  return prop ? std::move(prop->block.txs) : std::vector<ledger::Transaction>{};
+}
+
 TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   const runner::LedgerMode mode = GetParam();
   const bool consensus = mode == runner::LedgerMode::kConsensus;
@@ -512,6 +569,9 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   LoopbackHub hub(sim, cfg.n);
   std::vector<std::unique_ptr<storage::Storage>> stores;
   std::vector<std::unique_ptr<NodeHost>> hosts;
+  // Per node: committed tx data in commit order, and their content keys.
+  std::vector<std::vector<codec::Bytes>> committed_data(cfg.n);
+  std::vector<std::unordered_set<std::string>> committed_keys(cfg.n);
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     storage::StorageConfig sc;
     sc.dir = node_dir(i);
@@ -525,6 +585,18 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
         std::make_unique<NodeHost>(c, sim, hub.transport(i), stores.back().get()));
     ASSERT_TRUE(hosts.back()->recover(&err)) << err;
     hosts.back()->start();
+    // A live ledger keeps no tx table: read the committed txs off the
+    // payloads the commit hook sees, and keep WAL-logging them the way the
+    // host's own hook does.
+    hosts.back()->ledger().set_commit_hook(
+        [&, i, store = stores.back().get()](std::uint64_t height, codec::ByteView raw) {
+          store->append_block(height, raw);
+          for (const ledger::Transaction& tx : payload_txs(raw, consensus)) {
+            if (committed_keys[i].insert(tx_dedup_key(tx)).second) {
+              committed_data[i].push_back(tx.data);
+            }
+          }
+        });
   }
 
   crypto::Pki pki(cfg.seed);
@@ -570,13 +642,9 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     SCOPED_TRACE("node " + std::to_string(i));
     const IWireLedger& ledger = hosts[i]->ledger();
-    const ledger::TxTable& table = ledger.txs();
     const std::uint64_t chain_height = ledger.height();
     ASSERT_GT(chain_height, 0u);
-    std::vector<codec::Bytes> committed;  // tx data in table order
-    for (ledger::TxIdx idx = 0; idx < table.size(); ++idx) {
-      committed.push_back(table.get(idx).data);
-    }
+    const std::vector<codec::Bytes>& committed = committed_data[i];
 
     // Ledger-state blob.
     codec::Writer w;
@@ -587,13 +655,10 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
     const auto ordinal = r.varint();
     ASSERT_TRUE(ordinal.has_value());
     EXPECT_GT(*ordinal, 0u);  // every node publishes its epoch proofs
-    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(table.size()));
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(committed.size()));
     const auto key_count = r.varint();
-    ASSERT_EQ(key_count, std::optional<std::uint64_t>(table.size()));
-    std::unordered_set<std::string> expected_keys;
-    for (ledger::TxIdx idx = 0; idx < table.size(); ++idx) {
-      expected_keys.insert(tx_dedup_key(table.get(idx)));
-    }
+    ASSERT_EQ(key_count, std::optional<std::uint64_t>(committed.size()));
+    std::unordered_set<std::string> expected_keys = committed_keys[i];
     for (std::uint64_t k = 0; k < *key_count; ++k) {
       const auto key = r.lp_bytes();
       ASSERT_TRUE(key.has_value());

@@ -298,13 +298,11 @@ TEST(WirePayloads, BatchExchangeRoundTrip) {
   EXPECT_EQ(preq->requester, req.requester);
   EXPECT_EQ(preq->hash, req.hash);
 
-  BatchResponse resp;
-  resp.hash = req.hash;
-  resp.batch = serialized;
-  const auto presp = parse_batch_response(encode_batch_response(resp));
+  const Bytes resp = encode_batch_response(req.hash, serialized);
+  const auto presp = parse_batch_response_view(resp);
   ASSERT_TRUE(presp.has_value());
-  EXPECT_EQ(presp->hash, resp.hash);
-  EXPECT_EQ(presp->batch, serialized);
+  EXPECT_EQ(presp->hash, req.hash);
+  EXPECT_EQ(Bytes(presp->batch.begin(), presp->batch.end()), serialized);
   // The carried batch is still parseable — the nested codec survived.
   const auto inner = core::parse_batch(presp->batch);
   ASSERT_TRUE(inner.has_value());
@@ -592,8 +590,8 @@ TEST(WirePayloads, EveryParserRejectsTruncationAndTrailingGarbage) {
        [](ByteView v) { return parse_block_sync_response(v).has_value(); }},
       {"batch_req", encode_batch_request(breq),
        [](ByteView v) { return parse_batch_request(v).has_value(); }},
-      {"batch_resp", encode_batch_response({{}, Bytes{1, 2, 3}}),
-       [](ByteView v) { return parse_batch_response(v).has_value(); }},
+      {"batch_resp", encode_batch_response({}, Bytes{1, 2, 3}),
+       [](ByteView v) { return parse_batch_response_view(v).has_value(); }},
       {"proposal", signed_proposal,
        [](ByteView v) { return parse_proposal(v).has_value(); }},
       {"proposal_view", signed_proposal,
@@ -639,7 +637,7 @@ TEST(WirePayloads, RandomBytesNeverCrash) {
     parse_block(junk);
     parse_block_sync_response(junk);
     parse_batch_request(junk);
-    parse_batch_response(junk);
+    parse_batch_response_view(junk);
     parse_proposal(junk);
     parse_signed_proposal_view(junk);
     parse_vote(junk);
