@@ -96,7 +96,6 @@ codec::ByteView CommittedChain::commit(std::uint64_t height, std::uint32_t propo
       pool_.erase(it->second);
       pooled_.erase(it);
     }
-    ++committed_txs_;
     block.bytes += tx.wire_size;
     block.txs.push_back(&tx);
   }
@@ -142,7 +141,7 @@ void CommittedChain::serialize_state(codec::Writer& w, std::uint8_t version) con
   w.u8(version);
   w.varint(height_);
   w.varint(appended_);
-  w.varint(committed_txs_);
+  w.varint(keys_.size());  // committed tx count: one key per committed tx
   w.varint(keys_.size());
   for (const std::string& key : keys_) {
     w.lp_bytes(codec::ByteView(reinterpret_cast<const std::uint8_t*>(key.data()),
@@ -157,11 +156,12 @@ bool CommittedChain::restore_state(codec::Reader& r, std::uint8_t version) {
   const auto appended = r.varint();
   const auto tx_count = r.varint();
   const auto key_count = r.varint();
-  if (!height || !appended || !tx_count || !key_count) return false;
+  if (!height || !appended || !tx_count || !key_count || *tx_count != *key_count) {
+    return false;
+  }
   height_ = *height;
   base_ = *height;  // everything below lives only in the snapshot
   appended_ = *appended;
-  committed_txs_ = *tx_count;
   keys_.clear();
   for (std::uint64_t i = 0; i < *key_count; ++i) {
     const auto key = r.lp_bytes();

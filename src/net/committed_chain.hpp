@@ -164,7 +164,6 @@ class CommittedChain {
   std::uint64_t height_ = 0;
   std::uint64_t base_ = 0;
   std::uint64_t appended_ = 0;
-  std::uint64_t committed_txs_ = 0;  ///< over every height, snapshot included
   std::uint32_t sync_cursor_ = 0;
 };
 

@@ -120,32 +120,20 @@ Experiment::Experiment(Scenario scenario)
   for (std::uint32_t i = 0; i < n; ++i) {
     std::unique_ptr<core::SetchainServer> s;
     switch (scenario_.algorithm) {
-      case Algorithm::kVanilla: {
-        auto v = std::make_unique<core::VanillaServer>(ctx, i);
-        ledger_->on_new_block(i, [p = v.get()](const ledger::Block& b) {
-          p->on_new_block(b);
-        });
-        s = std::move(v);
+      case Algorithm::kVanilla:
+        s = std::make_unique<core::VanillaServer>(ctx, i);
         break;
-      }
-      case Algorithm::kCompresschain: {
-        auto c = std::make_unique<core::CompresschainServer>(ctx, i);
-        ledger_->on_new_block(i, [p = c.get()](const ledger::Block& b) {
-          p->on_new_block(b);
-        });
-        s = std::move(c);
+      case Algorithm::kCompresschain:
+        s = std::make_unique<core::CompresschainServer>(ctx, i);
         break;
-      }
       case Algorithm::kHashchain: {
         auto h = std::make_unique<core::HashchainServer>(ctx, i);
-        ledger_->on_new_block(i, [p = h.get()](const ledger::Block& b) {
-          p->on_new_block(b);
-        });
         batch_exchange_->attach(*h);
         s = std::move(h);
         break;
       }
     }
+    ledger_->on_new_block(i, [p = s.get()](const ledger::Block& b) { p->on_new_block(b); });
     servers_.push_back(std::move(s));
   }
   for (const auto node : scenario_.byz_refuse_batch) {

@@ -359,15 +359,12 @@ TEST(RestartCluster, WholeQuorumRestart) {
     // simultaneous crash is outside the paper's ≤f fault model: every
     // node's in-flight proof tx (and its retransmission state) dies at
     // once, so an epoch caught mid-publish could stay below f+1 proofs
-    // forever. Committed proofs are in the WAL and survive. Waiting for
-    // all n proofs everywhere also means every proof batch was fetched at
-    // every node, so a fetch during recovery would be for a batch the WAL
-    // holds.
+    // forever. Committed proofs are in the WAL and survive.
     ASSERT_TRUE(wait_until([&] {
       const auto view = client.get();
       for (auto& stub : stubs) {
         for (std::uint64_t e = 1; e <= view.epoch; ++e) {
-          if (stub->proofs_for_epoch(e).size() < cl.cfg.n) return false;
+          if (stub->proofs_for_epoch(e).size() < cl.cfg.f + 1) return false;
         }
       }
       return true;
@@ -389,10 +386,6 @@ TEST(RestartCluster, WholeQuorumRestart) {
 
   std::vector<std::uint64_t> h_pre(cl.cfg.n);
   for (std::uint32_t i = 0; i < cl.cfg.n; ++i) h_pre[i] = cl.kill_node(i);
-  // Some node fetched a batch announced by a block it had committed, so its
-  // batch record follows that block: recovery must not replay in WAL order.
-  EXPECT_GT(*std::max_element(cl.fetches_at_kill.begin(), cl.fetches_at_kill.end()), 0u)
-      << "no node fetched a batch before the kill";
   for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
     cl.restart_node(i);
     if (::testing::Test::HasFatalFailure()) return;
@@ -409,10 +402,10 @@ TEST(RestartCluster, WholeQuorumRestart) {
               cl.recovered_height[i])
         << "node " << i;
     EXPECT_EQ(cl.recovered_height[i], h_pre[i]) << "node " << i;
-    // Every replayed block was applied inside recover(), from batches the
-    // WAL held: no fetch left before the transport is up.
+    // Every replayed block was applied inside recover(). A node killed
+    // before it fetched some batch may start that fetch here; the next
+    // case pins that batches the WAL holds are never fetched.
     EXPECT_EQ(cl.recovered_applied[i], cl.recovered_height[i]) << "node " << i;
-    EXPECT_EQ(cl.recovered_fetches[i], 0u) << "node " << i;
   }
 
   // The rebooted cluster still holds the pre-kill workload (nothing but the
@@ -447,6 +440,58 @@ TEST(RestartCluster, WholeQuorumRestart) {
                                    reference, "hashchain/whole-quorum-restart");
 }
 
+// Recovery restores every WAL batch record before it replays a block. A
+// Hashchain node logs a fetched batch after the block that announced it, so
+// a replay in WAL order would miss that batch and fetch it again. Here the
+// pre-kill drain waits for all n proofs of every epoch at every node (every
+// proof batch fetched everywhere) and no snapshot cuts the WAL, so each WAL
+// holds every batch its blocks announce: recover() must apply every block
+// and start no fetch.
+TEST(RestartCluster, WholeQuorumRestartFindsLoggedBatchesInTheWal) {
+  DurableCluster cl(runner::Algorithm::kHashchain,
+                    runner::LedgerMode::kFixedSequencer,
+                    /*snapshot_epochs=*/0);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const auto elements = make_workload(cl.cfg, 12, cl.pki);
+  std::vector<core::ElementId> accepted;
+  {
+    std::vector<std::unique_ptr<RemoteNode>> stubs;
+    api::QuorumClient client = cl.client(stubs);
+    add_all(client, elements, 0, elements.size(), accepted);
+    ASSERT_TRUE(wait_until([&] { return view_covers(client, accepted); }))
+        << "pre-kill workload never converged";
+    ASSERT_TRUE(wait_until([&] {
+      const auto view = client.get();
+      for (auto& stub : stubs) {
+        for (std::uint64_t e = 1; e <= view.epoch; ++e) {
+          if (stub->proofs_for_epoch(e).size() < cl.cfg.n) return false;
+        }
+      }
+      return true;
+    })) << "pre-kill epoch proofs never reached all n nodes";
+  }
+
+  std::vector<std::uint64_t> h_pre(cl.cfg.n);
+  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) h_pre[i] = cl.kill_node(i);
+  // Some node fetched a batch announced by a block it had committed, so its
+  // WAL holds that batch record after the block.
+  EXPECT_GT(*std::max_element(cl.fetches_at_kill.begin(), cl.fetches_at_kill.end()), 0u)
+      << "no node fetched a batch before the kill";
+  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
+    cl.restart_node(i);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(cl.recovered_height[i], h_pre[i]) << "node " << i;
+    EXPECT_EQ(cl.recovered_applied[i], cl.recovered_height[i]) << "node " << i;
+    EXPECT_EQ(cl.recovered_fetches[i], 0u) << "node " << i;
+  }
+
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  ASSERT_TRUE(wait_until([&] { return view_covers(client, accepted); }))
+      << "rebooted cluster lost the pre-kill workload";
+}
+
 // Consensus-mode durability: the voting ledger archives committed proposal
 // payloads; a whole-quorum restart must resume from the recovered height
 // and keep committing (round state is volatile by design — only committed
@@ -475,18 +520,6 @@ TEST(RestartCluster, ConsensusWholeQuorumRestart) {
       }
       return true;
     })) << "pre-kill epoch proofs never drained to every node";
-    // Then wait for all n proofs of every epoch everywhere: every proof
-    // batch is fetched at every node, so a node that fetches during
-    // recovery would be fetching a batch its WAL holds.
-    ASSERT_TRUE(wait_until([&] {
-      const auto view = client.get();
-      for (auto& stub : stubs) {
-        for (std::uint64_t e = 1; e <= view.epoch; ++e) {
-          if (stub->proofs_for_epoch(e).size() < cl.cfg.n) return false;
-        }
-      }
-      return true;
-    })) << "pre-kill epoch proofs never reached all n nodes";
   }
 
   std::vector<std::uint64_t> h_pre(cl.cfg.n);
