@@ -349,5 +349,20 @@ if [ -n "${LOADGEN_BIN}" ]; then
     fi
   done
 
-  echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, 60 s open-loop rollup load)"
+  # Under sustained load some node always receives the next height's
+  # proposal before it commits the current one: the lookahead buffer must
+  # have held at least one, or the stall it removes is back.
+  BUFFERED=0
+  for i in $(seq 0 $((N - 1))); do
+    COUNT=$(grep -oE "proposals_buffered=[0-9]+" "${LOG_DIR}/load_node${i}.log" \
+      | tail -n 1 | cut -d= -f2)
+    BUFFERED=$(( BUFFERED + ${COUNT:-0} ))
+  done
+  if [ "$BUFFERED" -eq 0 ]; then
+    echo "FAIL: no load node buffered a next-height proposal" >&2
+    grep -h "consensus:" "${LOG_DIR}"/load_node*.log >&2 || true
+    exit 1
+  fi
+
+  echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, 60 s open-loop rollup load, ${BUFFERED} proposals buffered)"
 fi

@@ -64,6 +64,7 @@ ConsensusLedger::ConsensusLedger(ConsensusLedgerConfig cfg, sim::Simulation& tim
       sim::from_millis(10), std::min(cfg_.block_interval, cfg_.timeout_propose) / 3);
   masked_.assign(cfg_.n, false);
   for (auto& slots : future_) slots.assign(cfg_.n, std::nullopt);
+  future_proposals_.assign(cfg_.n, std::nullopt);
 }
 
 void ConsensusLedger::start() {
@@ -151,9 +152,22 @@ bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {
   if (!v) return false;
   const std::uint32_t proposer = v->block.proposer;
   if (proposer >= cfg_.n) return false;
-  if (v->block.height != active_height()) return true;  // stale/ahead: ignore
-  const wire::ProposalHash hash = crypto::Sha256::hash(payload);
-  if (proposals_.contains(hash)) return true;
+  const std::uint64_t active = active_height();
+  if (v->block.height > active + 1) {
+    ++proposals_dropped_ahead_;
+    return true;
+  }
+  if (v->block.height < active) return true;  // stale: the height already closed
+  // One height of lookahead, first payload per proposer: later arrivals for
+  // a filled slot are ignored unverified, so the buffer stays at n payloads.
+  const bool ahead = v->block.height == active + 1;
+  wire::ProposalHash hash{};
+  if (ahead) {
+    if (future_proposals_[proposer]) return true;
+  } else {
+    hash = crypto::Sha256::hash(payload);
+    if (proposals_.contains(hash)) return true;
+  }
   // The proposer signature binds the payload to its scheduled author. An
   // invalid signature blames the SENDER: honest holders verified the frame
   // before relaying it, so whoever handed us a forgery authored the forgery.
@@ -161,7 +175,18 @@ bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {
           proposer, wire::proposal_transcript(cfg_.cluster, v->block_bytes), v->sig)) {
     return false;
   }
+  if (ahead) {
+    // An owned copy: `payload` may be a view into a pooled frame buffer.
+    future_proposals_[proposer].emplace(payload.begin(), payload.end());
+    ++proposals_buffered_;
+    return true;
+  }
+  return hold_proposal(proposer, hash, payload);
+}
 
+bool ConsensusLedger::hold_proposal(std::uint32_t proposer,
+                                    const wire::ProposalHash& hash,
+                                    codec::ByteView payload) {
   // Proposer equivocation: a second validly signed payload for this height
   // permanently masks the proposer's votes (the payloads themselves remain
   // usable commit candidates — content is client-submitted either way, and
@@ -631,6 +656,7 @@ void ConsensusLedger::commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw
   retry_at_ = now + cfg_.retry_interval;
 
   replay_buffered_votes();
+  replay_buffered_proposals();
   maybe_propose();
   maybe_prevote();
 }
@@ -645,6 +671,22 @@ void ConsensusLedger::replay_buffered_votes() {
     for (const auto& v : buffered[k]) {
       if (v) on_vote_frame(kVoteKinds[k], v->voter, *v);
     }
+  }
+}
+
+void ConsensusLedger::replay_buffered_proposals() {
+  FutureProposals buffered = std::move(future_proposals_);
+  future_proposals_.assign(cfg_.n, std::nullopt);
+  // Every slot was filled while this height was one ahead, and its proposer
+  // signature was verified then against a transcript that names no local
+  // state: hold it without verifying again, through every other check.
+  const std::uint64_t height = chain_.height();
+  for (std::uint32_t proposer = 0; proposer < buffered.size(); ++proposer) {
+    if (chain_.height() != height) return;  // held payload completed a commit
+    const auto& raw = buffered[proposer];
+    if (!raw) continue;
+    const wire::ProposalHash hash = crypto::Sha256::hash(*raw);
+    if (!proposals_.contains(hash)) hold_proposal(proposer, hash, *raw);
   }
 }
 

@@ -111,6 +111,14 @@ struct ConsensusLedgerConfig {
 ///    and re-validated when the height advances — a node one commit behind
 ///    no longer eats a full timeout because its peers' precommits arrived
 ///    early (votes_buffered() / votes_dropped_ahead() count the traffic).
+///    Proposals one height ahead are buffered too, one slot per proposer
+///    (first verified payload wins, so at most n payloads): the proposer
+///    signature is checked on intake, and the owned copy is held after the
+///    commit without a second check (the transcript names no local state),
+///    through the same masking / holding-cap / prevote path as a fresh
+///    arrival. A node that commits H a moment after H+1's proposal arrived
+///    prevotes at once instead of waiting out a retransmit
+///    (proposals_buffered() / proposals_dropped_ahead()).
 ///  * Submissions gossip: append() hands the tx to CommittedChain::submit,
 ///    which pools it, broadcasts kTxSubmit to every peer and retransmits
 ///    with capped backoff until the tx's content key lands in a committed
@@ -173,6 +181,8 @@ class ConsensusLedger final : public IWireLedger {
   std::uint64_t cert_rejects() const { return cert_rejects_; }
   std::uint64_t votes_buffered() const { return votes_buffered_; }
   std::uint64_t votes_dropped_ahead() const { return votes_dropped_ahead_; }
+  std::uint64_t proposals_buffered() const { return proposals_buffered_; }
+  std::uint64_t proposals_dropped_ahead() const { return proposals_dropped_ahead_; }
   bool masked(std::uint32_t node) const {
     return node < masked_.size() && masked_[node];
   }
@@ -211,6 +221,9 @@ class ConsensusLedger final : public IWireLedger {
   /// slot per voter; replayed through the frame path when the height
   /// advances.
   using FutureVotes = std::array<std::vector<std::optional<wire::VoteMsg>>, 3>;
+  /// Buffered signed proposals for height active+1, one slot per proposer:
+  /// owned copies of the verified payload bytes, held after the commit.
+  using FutureProposals = std::vector<std::optional<codec::Bytes>>;
 
   std::uint32_t quorum() const { return 2 * cfg_.f + 1; }
   std::uint32_t skip_quorum() const { return cfg_.f + 1; }
@@ -246,6 +259,11 @@ class ConsensusLedger final : public IWireLedger {
   void buffer_future(wire::MsgType type, const wire::VoteMsg& m);
   void enqueue_verify(wire::MsgType type, const wire::VoteMsg& m);
   void drain_verify();
+  /// Hold a proposal for the active height whose proposer signature is
+  /// already checked: equivocation masking, the per-proposer holding cap,
+  /// then prevote / polka / commit.
+  bool hold_proposal(std::uint32_t proposer, const wire::ProposalHash& hash,
+                     codec::ByteView payload);
   /// Apply one signature-checked vote (or reject it). Re-validates height /
   /// round / masking: the world may have moved while the vote sat in the
   /// verification queue.
@@ -268,6 +286,7 @@ class ConsensusLedger final : public IWireLedger {
   /// is what gets WAL-logged and served to sync.
   void commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw);
   void replay_buffered_votes();
+  void replay_buffered_proposals();
 
   ConsensusLedgerConfig cfg_;
   sim::Simulation& timers_;
@@ -306,6 +325,9 @@ class ConsensusLedger final : public IWireLedger {
   std::deque<PendingVote> pending_verify_;
   bool verify_scheduled_ = false;
   FutureVotes future_;
+  std::uint64_t proposals_buffered_ = 0;
+  std::uint64_t proposals_dropped_ahead_ = 0;
+  FutureProposals future_proposals_;
 
   std::uint64_t blocks_broadcast_ = 0;  ///< fresh proposals sealed here
   bool started_ = false;

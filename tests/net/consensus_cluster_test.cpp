@@ -10,7 +10,8 @@
 // conformant on the honest majority, whose own frames never equivocate.
 // Two regressions ride along: a submit window cut mid-flight must heal by
 // resubmission, not luck, under both ledger modes; and oversized txs must
-// neither overfill nor wedge a block.
+// neither overfill nor wedge a block. A node one commit behind must hold the
+// next height's proposal instead of dropping it (ConsensusLookahead).
 #include "net/consensus_ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -428,11 +429,13 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
   EXPECT_EQ(restored.evidence()[0].node, 1u);
 }
 
-// Future-height intake: exactly ONE height of lookahead is buffered, one
-// slot per voter per frame type; anything further ahead is dropped and
-// counted. The buffered claims replay through the full validation path on
-// commit and must not wedge a later workload.
-TEST(ConsensusByzantine, FutureHeightVotesBufferOneHeightOnly) {
+// Future-height intake: exactly ONE height of lookahead is buffered — one
+// slot per voter per vote frame type, one slot per proposer for proposals;
+// anything further ahead is dropped and counted. A proposal's signature is
+// checked before it takes a slot, so a forgery is refused (and blames its
+// sender) instead of squatting. The buffered claims are held on commit and
+// must not wedge a later workload.
+TEST(ConsensusByzantine, FutureHeightIntakeBuffersOneHeightOnly) {
   LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
   cl.start();
   const std::uint64_t cluster = cl.hosts[0]->cluster();
@@ -447,9 +450,23 @@ TEST(ConsensusByzantine, FutureHeightVotesBufferOneHeightOnly) {
                                                  height, 0, m.hash));
     cl.hub.transport(2).send(0, wire::MsgType::kPrevote, wire::encode_vote(m));
   };
+  // Proposer 3's block for `height` (one junk tx when `tagged`, so the two
+  // payloads differ), signed with `signer`'s key and relayed by node 2.
+  const auto send_proposal = [&](std::uint64_t height, bool tagged,
+                                 std::uint32_t signer) {
+    ledger::Transaction junk;
+    junk.data = {0xEE};
+    junk.wire_size = 1;
+    std::vector<const ledger::Transaction*> txs;
+    if (tagged) txs.push_back(&junk);
+    const codec::Bytes block = wire::encode_block(height, 3, txs);
+    const codec::Bytes raw = wire::encode_signed_proposal(
+        block, cl.pki.sign(signer, wire::proposal_transcript(cluster, block)));
+    cl.hub.transport(2).send(0, wire::MsgType::kProposal, raw);
+  };
 
   // Active height is 1: height-2 frames park in the buffer (the duplicate
-  // prevote takes no second slot), the height-3 frame is dropped.
+  // prevote takes no second slot), the height-3 frames are dropped.
   send_signed(2);
   send_signed(2);
   send_signed(3);
@@ -457,18 +474,138 @@ TEST(ConsensusByzantine, FutureHeightVotesBufferOneHeightOnly) {
   skip.sig = cl.pki.sign(2, wire::round_skip_transcript(cluster, 2, 0));
   cl.hub.transport(2).send(0, wire::MsgType::kRoundSkip,
                            wire::encode_round_skip(skip));
+  // The forgery goes first, while proposer 3's slot is still empty.
+  send_proposal(2, /*tagged=*/false, /*signer=*/2);
+  cl.pump_seconds(1);
+  const std::uint64_t bad_after_forgery = cl.hosts[0]->bad_frames();
+  send_proposal(2, /*tagged=*/false, /*signer=*/3);
+  send_proposal(2, /*tagged=*/true, /*signer=*/3);
+  send_proposal(3, /*tagged=*/false, /*signer=*/3);
   cl.pump_seconds(1);
 
   const ConsensusLedger* c0 = cl.cons(0);
   ASSERT_NE(c0, nullptr);
   EXPECT_EQ(c0->votes_buffered(), 2u);  // one prevote slot + one skip slot
   EXPECT_EQ(c0->votes_dropped_ahead(), 1u);
+  EXPECT_EQ(bad_after_forgery, 1u) << "the forged proposal was not refused at intake";
+  EXPECT_EQ(cl.hosts[0]->bad_frames(), bad_after_forgery);
+  EXPECT_EQ(c0->proposals_buffered(), 1u) << "proposer 3 took more than one slot";
+  EXPECT_EQ(c0->proposals_dropped_ahead(), 1u);
 
   const auto elements = make_workload(cl.cfg, 8, cl.pki);
   std::vector<std::unique_ptr<RemoteNode>> stubs;
   api::QuorumClient client = cl.client(stubs);
   const auto accepted = drive(client, elements);
   ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
+}
+
+/// Holds back its node's kPrecommit frames to node 0 by `delay` of virtual
+/// time; every other frame goes out at once.
+class PrecommitsToNode0Delayed final : public ForwardingTransport {
+ public:
+  PrecommitsToNode0Delayed(ITransport& inner, sim::Simulation& sim, sim::Time delay)
+      : ForwardingTransport(inner), sim_(sim), delay_(delay) {}
+
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    if (to != 0 || type != wire::MsgType::kPrecommit) return inner_.send(to, type, payload);
+    sim_.schedule_in(delay_, [this, to, type, bytes = codec::Bytes(payload.begin(),
+                                                                   payload.end())] {
+      inner_.send(to, type, bytes);
+    });
+    return true;
+  }
+
+ private:
+  sim::Simulation& sim_;
+  sim::Time delay_;
+};
+
+/// Node 0's inbound tap: the heights whose proposal reached it while it had
+/// not yet committed the height before (its active height was one behind).
+class EarlyProposalTap final : public ForwardingTransport {
+ public:
+  EarlyProposalTap(ITransport& inner, const LoopbackCluster& cl)
+      : ForwardingTransport(inner), cl_(cl) {}
+
+  void set_handler(FrameHandler handler) override {
+    inner_.set_handler([this, handler = std::move(handler)](EndpointId from,
+                                                            wire::Frame&& f) {
+      if (f.type == wire::MsgType::kProposal) {
+        const auto v = wire::parse_signed_proposal_view(f.payload);
+        if (v && v->block.height == cl_.hosts[0]->ledger().height() + 2) {
+          early.insert(v->block.height);
+        }
+      }
+      handler(from, std::move(f));
+    });
+  }
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    return inner_.send(to, type, payload);
+  }
+
+  std::set<std::uint64_t> early;
+
+ private:
+  const LoopbackCluster& cl_;
+};
+
+// The next-height proposal lookahead. On 1 ms links, nodes 1-3 hold back
+// their precommits to node 0 by 2 ms, so they commit each height first and
+// H+1's proposer seals at once: H+1's proposal reaches node 0 before node 0
+// has committed H, yet node 0 stays less than one height (three hops)
+// behind. Node 0 must hold that proposal and commit H+1 right after H, not
+// drop it and wait for a retransmit or a sync pull.
+TEST(ConsensusLookahead, NextHeightProposalCommitsWithoutRetransmitWait) {
+  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus, /*seed=*/42, /*n=*/4,
+                     /*link_latency=*/sim::from_millis(1));
+  const EarlyProposalTap* tap = nullptr;
+  cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
+    if (c.id == 0) {
+      auto w = std::make_unique<EarlyProposalTap>(t, cl);
+      tap = w.get();
+      return w;
+    }
+    return std::make_unique<PrecommitsToNode0Delayed>(t, cl.sim, sim::from_millis(2));
+  });
+  std::map<std::uint64_t, sim::Time> committed_at;  ///< node 0: height -> time
+  cl.hosts[0]->ledger().set_commit_hook(
+      [&](std::uint64_t height, codec::ByteView) { committed_at[height] = cl.sim.now(); });
+
+  // A steady trickle keeps the pool non-empty, so each commit lets the next
+  // proposer seal at once.
+  const auto elements = make_workload(cl.cfg, 40, cl.pki);
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  std::vector<core::ElementId> accepted;
+  for (const core::Element& e : elements) {
+    const auto more = drive(client, {e});
+    accepted.insert(accepted.end(), more.begin(), more.end());
+    cl.pump_seconds(0.02);
+  }
+  ASSERT_EQ(accepted.size(), elements.size());
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }));
+
+  ASSERT_NE(tap, nullptr);
+  ASSERT_FALSE(tap->early.empty()) << "no proposal ever arrived a height early";
+  const ConsensusLedger* c0 = cl.cons(0);
+  ASSERT_NE(c0, nullptr);
+  EXPECT_GT(c0->proposals_buffered(), 0u);
+  // A dropped proposal costs a retransmit or sync wait (hundreds of ms); a
+  // held one commits one height, three 1 ms hops, after the one before.
+  for (const std::uint64_t h : tap->early) {
+    ASSERT_TRUE(committed_at.contains(h - 1) && committed_at.contains(h)) << h;
+    const sim::Time gap = committed_at[h] - committed_at[h - 1];
+    EXPECT_LT(gap, cl.cfg.retry_interval)
+        << "height " << h << " waited " << sim::to_millis(gap) << " ms after height "
+        << h - 1 << " although its proposal had arrived early";
+  }
+
+  const ReferenceRun reference = run_reference(cl.cfg, elements);
+  std::unordered_set<core::ElementId> created(accepted.begin(), accepted.end());
+  assert_cluster_matches_reference(cl.servers(), accepted, created,
+                                   cl.hosts[0]->params(), cl.hosts[0]->pki(), reference,
+                                   "vanilla/proposal-lookahead");
 }
 
 // Random bit-flips on the server<->server links (the kCorrupt fault): every

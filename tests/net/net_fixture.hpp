@@ -195,10 +195,14 @@ struct LoopbackCluster {
   std::vector<std::unique_ptr<NodeHost>> hosts;
   crypto::Pki pki;  ///< client-side PKI (same seed -> same keys as daemons)
 
+  /// `link_latency` is the one-way hop delay. Keep it at or under 1 ms:
+  /// LoopbackRpcChannel pumps the simulation in 1 ms slices and the clock
+  /// does not advance through an empty slice.
   explicit LoopbackCluster(runner::Algorithm algo,
                            runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer,
-                           std::uint64_t seed = 42, std::uint32_t n = 4)
-      : cfg(make_config(algo, mode, seed, n)), hub(sim, n), pki(cfg.seed) {
+                           std::uint64_t seed = 42, std::uint32_t n = 4,
+                           sim::Time link_latency = sim::from_micros(120))
+      : cfg(make_config(algo, mode, seed, n)), hub(sim, n, link_latency), pki(cfg.seed) {
     for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
       pki.register_process(p);
     }
