@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   bool have_first_seq = false;
   std::uint64_t seed = 42;
   runner::Algorithm algo = runner::Algorithm::kHashchain;
-  runner::LedgerMode ledger = runner::LedgerMode::kFixedSequencer;
   std::vector<std::string> nodes;
   int wait_seconds = 60;
 
@@ -58,10 +57,6 @@ int main(int argc, char** argv) {
       const auto a = runner::parse_algorithm(value());
       if (!a) return 2;
       algo = *a;
-    } else if (arg == "--ledger") {
-      const auto m = runner::parse_ledger_mode(value());
-      if (!m) return 2;
-      ledger = *m;
     } else if (arg == "--first-seq") {
       // Element-sequence offset: a second client run against the same
       // cluster must mint FRESH element ids (ids are (client, seq) pairs).
@@ -87,8 +82,7 @@ int main(int argc, char** argv) {
   // Shared deterministic PKI: the daemons derive the same keys from the same
   // seed, so elements signed here validate over there.
   const std::uint64_t cluster =
-      net::wire::cluster_id(seed, n, f, static_cast<std::uint8_t>(algo),
-                            static_cast<std::uint8_t>(ledger));
+      net::wire::cluster_id(seed, n, f, static_cast<std::uint8_t>(algo));
   crypto::Pki pki(seed);
   for (crypto::ProcessId p = 0; p < n + 64; ++p) pki.register_process(p);
   const crypto::ProcessId client_id = n;  // first pre-registered client slot

@@ -7,8 +7,9 @@
 #   usage: tcp_cluster_smoke.sh <setchain_node> <remote_quorum_client> \
 #          [setchain_loadgen] [algo]
 #
+# Every phase boots a fresh cluster (the daemons order blocks by consensus).
 # When a setchain_loadgen binary is given, phase 5 additionally drives a
-# 60-second open-loop rollup load against a fresh consensus cluster.
+# 60-second open-loop rollup load against a fresh cluster.
 set -euo pipefail
 
 NODE_BIN=${1:?path to setchain_node}
@@ -53,6 +54,7 @@ done
 
 for i in $(seq 0 $((N - 1))); do
   "$NODE_BIN" --id "$i" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
+    --timeout-propose-ms 800 \
     --listen "${HOST}:$((PORT_BASE + i))" "${PEER_ARGS[@]}" \
     --collector 8 --collector-timeout-ms 150 --block-interval-ms 120 \
     >"${LOG_DIR}/node${i}.log" 2>&1 &
@@ -70,15 +72,13 @@ timeout --kill-after=10 90 \
   "$CLIENT_BIN" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
   --count 24 --wait-seconds 45 "${NODE_ARGS[@]}"
 
-echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, sequencer)"
+echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N})"
 
-# ---- Phase 2: consensus ledger + proposer SIGKILL -------------------------
-# Fresh cluster on fresh ports with --ledger consensus. Commit part of a
-# workload, then SIGKILL the round-0 proposer of the next heights (node 1 =
-# proposer_for(1,0)) and demand a second client run — minting FRESH element
-# ids via --first-seq — still commits end to end. Under the fixed sequencer
-# an equivalent kill of the sequencer stalls the cluster forever; this is
-# the f-tolerance the consensus mode exists to restore.
+# ---- Phase 2: proposer SIGKILL --------------------------------------------
+# Fresh cluster on fresh ports. Commit part of a workload, then SIGKILL the
+# round-0 proposer of the next heights (node 1 = proposer_for(1,0)) and
+# demand a second client run — minting FRESH element ids via --first-seq —
+# still commits end to end: the paper's f-tolerance.
 for pid in "${PIDS[@]}"; do
   kill "$pid" 2>/dev/null || true
 done
@@ -96,10 +96,10 @@ done
 declare -A NODE_PID
 for i in $(seq 0 $((N - 1))); do
   "$NODE_BIN" --id "$i" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-    --ledger consensus --timeout-propose-ms 800 \
+    --timeout-propose-ms 800 \
     --listen "${HOST}:$((PORT_BASE + i))" "${PEER_ARGS[@]}" \
     --collector 8 --collector-timeout-ms 150 --block-interval-ms 120 \
-    >"${LOG_DIR}/consensus_node${i}.log" 2>&1 &
+    >"${LOG_DIR}/failover_node${i}.log" 2>&1 &
   PIDS+=($!)
   NODE_PID[$i]=$!
 done
@@ -109,10 +109,10 @@ for i in $(seq 0 $((N - 1))); do
   NODE_ARGS+=(--node "${HOST}:$((PORT_BASE + i))")
 done
 
-# First client run against the healthy consensus cluster.
+# First client run against the healthy cluster.
 timeout --kill-after=10 90 \
   "$CLIENT_BIN" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-  --ledger consensus --count 12 --wait-seconds 45 "${NODE_ARGS[@]}"
+  --count 12 --wait-seconds 45 "${NODE_ARGS[@]}"
 
 # SIGKILL the round-0 proposer mid-cluster — no shutdown handler runs.
 kill -9 "${NODE_PID[1]}" 2>/dev/null || true
@@ -122,12 +122,12 @@ wait "${NODE_PID[1]}" 2>/dev/null || true
 # corpse at every height it would have proposed and still commit everything.
 timeout --kill-after=10 90 \
   "$CLIENT_BIN" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-  --ledger consensus --count 12 --first-seq 12 --wait-seconds 60 "${NODE_ARGS[@]}"
+  --count 12 --first-seq 12 --wait-seconds 60 "${NODE_ARGS[@]}"
 
-echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, consensus + proposer SIGKILL)"
+echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, proposer SIGKILL)"
 
 # ---- Phase 3: durable storage + whole-cluster SIGKILL restart -------------
-# Fresh sequencer cluster with per-node --data-dir: commit a workload, then
+# Fresh cluster with per-node --data-dir: commit a workload, then
 # SIGKILL EVERY node (no shutdown handler — the WAL tail is all that
 # survives), restart all four from their data dirs on the same ports, and
 # demand a second client run commit end to end WITHOUT --first-seq: the
@@ -155,6 +155,7 @@ boot_durable() {
   NODE_PID=()
   for i in $(seq 0 $((N - 1))); do
     "$NODE_BIN" --id "$i" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
+      --timeout-propose-ms 800 \
       --listen "${HOST}:$((PORT_BASE + i))" "${PEER_ARGS[@]}" \
       --collector 8 --collector-timeout-ms 150 --block-interval-ms 120 \
       --data-dir "${DATA_DIR}/node${i}" --snapshot-epochs 2 \
@@ -208,8 +209,8 @@ fi
 
 echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, durable whole-cluster restart)"
 
-# ---- Phase 4: consensus ledger + one Byzantine node -----------------------
-# Fresh consensus cluster where node 1 — the round-0 proposer of height 1 —
+# ---- Phase 4: one Byzantine node ------------------------------------------
+# Fresh cluster where node 1 — the round-0 proposer of height 1 —
 # runs --byz-consensus (its honest ledger behind the ByzantineTransport
 # decorator): it equivocates proposals, double-votes, forges votes
 # and serves junk sync, all signed with its real key. The client workload
@@ -235,7 +236,7 @@ for i in $(seq 0 $((N - 1))); do
     BYZ_ARGS=(--byz-consensus)
   fi
   "$NODE_BIN" --id "$i" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-    --ledger consensus --timeout-propose-ms 800 "${BYZ_ARGS[@]}" \
+    --timeout-propose-ms 800 "${BYZ_ARGS[@]}" \
     --listen "${HOST}:$((PORT_BASE + i))" "${PEER_ARGS[@]}" \
     --collector 8 --collector-timeout-ms 150 --block-interval-ms 120 \
     >"${LOG_DIR}/byz_node${i}.log" 2>&1 &
@@ -249,7 +250,7 @@ done
 
 timeout --kill-after=10 120 \
   "$CLIENT_BIN" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-  --ledger consensus --count 12 --wait-seconds 60 "${NODE_ARGS[@]}"
+  --count 12 --wait-seconds 60 "${NODE_ARGS[@]}"
 
 # Graceful stop so every daemon prints its consensus counters, then demand
 # that at least one honest node detected and masked the equivocator.
@@ -274,10 +275,10 @@ if [ "$DETECTED" -ne 1 ]; then
   exit 1
 fi
 
-echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, consensus + Byzantine node masked)"
+echo "tcp_cluster_smoke: PASS (${ALGO}, n=${N}, Byzantine node masked)"
 
-# ---- Phase 5: 60-second open-loop rollup load (consensus cluster) ---------
-# Fresh consensus cluster, then the load harness: an open-loop client fleet
+# ---- Phase 5: 60-second open-loop rollup load -----------------------------
+# Fresh cluster, then the load harness: an open-loop client fleet
 # (Poisson arrivals, hundreds of concurrent TCP sessions) submitting L2
 # token txs while the rollup operator/verifier agents post and audit epoch
 # commitments through the same cluster. The loadgen's --check gate fails on
@@ -305,7 +306,7 @@ if [ -n "${LOADGEN_BIN}" ]; then
   # element stream and bloats every quorum-view poll the verifier makes.
   for i in $(seq 0 $((N - 1))); do
     "$NODE_BIN" --id "$i" --n "$N" --f "$F" --algo "$ALGO" --seed "$SEED" \
-      --ledger consensus --timeout-propose-ms 800 \
+      --timeout-propose-ms 800 \
       --listen "${HOST}:$((PORT_BASE + i))" "${PEER_ARGS[@]}" \
       --collector 64 --collector-timeout-ms 250 --block-interval-ms 120 \
       >"${LOG_DIR}/load_node${i}.log" 2>&1 &
@@ -323,7 +324,7 @@ if [ -n "${LOADGEN_BIN}" ]; then
   # 20 s budget is flaky-tight here.
   sleep 1
   timeout --kill-after=10 200 \
-    "$LOADGEN_BIN" "${NODE_ARGS[@]}" --algo "$ALGO" --ledger consensus \
+    "$LOADGEN_BIN" "${NODE_ARGS[@]}" --algo "$ALGO" \
     --seed "$SEED" --workload rollup --sessions 256 --rate 300 \
     --duration-s 60 --settle-s 60 --check >"${LOG_DIR}/loadgen.json"
 

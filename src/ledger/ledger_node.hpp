@@ -17,7 +17,7 @@ namespace setchain::ledger {
 /// Implementations: CometbftSim (ledger/consensus.hpp), the Tendermint-style
 /// consensus simulation behind the experiments; InstantLedger (below), a
 /// zero-latency deterministic ledger for algorithm unit tests; and the live
-/// ledgers of src/net (net::IWireLedger).
+/// ledger of src/net (net::ConsensusLedger).
 ///
 /// Block lifetime: a delivered Block, and every Transaction it points to, is
 /// valid for the duration of the callback. The simulated ledgers keep each

@@ -25,8 +25,8 @@ void CommittedChain::start() {
 
 void CommittedChain::send_submit(const ledger::Transaction& tx) {
   const codec::Bytes payload = wire::encode_tx_submit(tx);
-  for (const EndpointId peer : cfg_.submit_to) {
-    transport_.send(peer, wire::MsgType::kTxSubmit, payload);
+  for (std::uint32_t peer = 0; peer < cfg_.n; ++peer) {
+    if (peer != cfg_.self) transport_.send(peer, wire::MsgType::kTxSubmit, payload);
   }
 }
 

@@ -10,14 +10,13 @@
 
 #include "codec/byte_io.hpp"
 #include "crypto/sha256.hpp"
-#include "ledger/transaction.hpp"
+#include "ledger/ledger_node.hpp"
 #include "net/transport.hpp"
-#include "net/wire_ledger.hpp"
 #include "sim/simulation.hpp"
 
 namespace setchain::net {
 
-/// The paper's block size: both live ledgers seal at most this many encoded
+/// The paper's block size: the live ledger seals at most this many encoded
 /// tx bytes (wire::tx_encoded_size) into one block. Well under half the
 /// frame cap, so a block always fits one broadcast frame and rides alone in
 /// a kBlockSyncResponse.
@@ -25,7 +24,7 @@ inline constexpr std::uint64_t kMaxBlockBytes = 500'000;
 static_assert(kMaxBlockBytes <= wire::kMaxPayloadBytes / 2);
 
 /// Content hash of one ledger transaction — SHA-256 over (kind byte ‖ data),
-/// the dedup key of both live ledger modes: the origin resends a pooled tx
+/// the live ledger's dedup key: the origin resends a pooled tx
 /// until this key appears in a committed block, and receivers drop submits
 /// whose key they already hold, so retries are always safe.
 inline std::string tx_dedup_key(const ledger::Transaction& tx) {
@@ -40,9 +39,6 @@ inline std::string tx_dedup_key(const ledger::Transaction& tx) {
 struct CommittedChainConfig {
   std::uint32_t n = 4;
   std::uint32_t self = 0;
-  /// Peers an own submission is sent (and retransmitted) to; empty on a
-  /// node that orders its own submissions.
-  std::vector<EndpointId> submit_to;
   /// Catch-up cadence: ask the next peer in rotation for blocks above our
   /// height this often. Heals frames lost on dropped connections and lets
   /// late-starting nodes join mid-stream.
@@ -52,16 +48,16 @@ struct CommittedChainConfig {
   sim::Time retry_interval = sim::from_millis(400);
 };
 
-/// Everything of a live block ledger but its ordering, shared by both
-/// ordering policies (ReplicatedLedger's sequencer, ConsensusLedger's
-/// rounds). The policy decides WHAT commits and when a block is sealed;
-/// this class holds the txs waiting for a block, lands committed blocks and
-/// shares them afterwards:
+/// Everything of the live block ledger but its ordering. ConsensusLedger's
+/// rounds decide WHAT commits and when a block is sealed; this class holds
+/// the txs waiting for a block, lands committed blocks and shares them
+/// afterwards:
 ///
 ///  * Pool: pending txs in arrival order, deduplicated by content key
 ///    against each other and the committed history. submit() pools an own
-///    tx, sends it to `submit_to` and retransmits it with capped backoff
-///    until its key commits; accept() pools a peer's kTxSubmit. A tx whose
+///    tx, sends it to every peer (any of them may propose the block it
+///    commits in) and retransmits it with capped backoff until its key
+///    commits; accept() pools a peer's kTxSubmit. A tx whose
 ///    encoded size exceeds kMaxBlockBytes is refused: it could never fit a
 ///    block. reap() packs the next block from the pool and leaves it there.
 ///  * commit(): one already-validated block at height()+1, given as
@@ -80,7 +76,12 @@ struct CommittedChainConfig {
 /// payload storage, and sync cannot be served below them.
 class CommittedChain {
  public:
-  using CommitHook = IWireLedger::CommitHook;
+  /// Fired once per locally committed block with its height and the exact
+  /// durable payload: a CERTIFIED block (proposal plus its precommit
+  /// quorum), so replay can re-verify the certificate. NodeHost points it
+  /// at the WAL, installed only after recovery replay so replayed blocks
+  /// are not re-logged.
+  using CommitHook = std::function<void(std::uint64_t height, codec::ByteView raw)>;
   using AppCallback = std::function<void(const ledger::Block&)>;
 
   CommittedChain(CommittedChainConfig cfg, sim::Simulation& timers,
@@ -97,8 +98,8 @@ class CommittedChain {
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
   void set_app_callback(AppCallback cb) { app_cb_ = std::move(cb); }
 
-  /// Pool the own tx `tx` (content key `key`), send it to every submit peer
-  /// and keep resending it until the key commits. False, with nothing sent,
+  /// Pool the own tx `tx` (content key `key`), send it to every peer and
+  /// keep resending it until the key commits. False, with nothing sent,
   /// when the pool refuses it: the key is committed or pooled already, or
   /// the tx cannot fit a block.
   bool submit(std::string key, ledger::Transaction tx);

@@ -40,11 +40,6 @@ CommittedChainConfig chain_config(const ConsensusLedgerConfig& cfg) {
   CommittedChainConfig c;
   c.n = cfg.n;
   c.self = cfg.self;
-  // Gossip own submissions to every peer: any of them may end up proposing
-  // the block they commit in.
-  for (std::uint32_t peer = 0; peer < cfg.n; ++peer) {
-    if (peer != cfg.self) c.submit_to.push_back(peer);
-  }
   c.sync_interval = cfg.sync_interval;
   c.retry_interval = cfg.retry_interval;
   return c;
@@ -136,11 +131,6 @@ void ConsensusLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
   // committed.
   std::string key = tx_dedup_key(m.tx);
   if (chain_.accept(std::move(key), std::move(m.tx))) note_work();
-}
-
-bool ConsensusLedger::on_block_frame(codec::ByteView payload) {
-  (void)payload;  // consensus clusters never speak bare kBlock
-  return false;
 }
 
 bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {

@@ -9,7 +9,6 @@
 
 #include "crypto/pki.hpp"
 #include "net/committed_chain.hpp"
-#include "net/wire_ledger.hpp"
 #include "sim/simulation.hpp"
 
 namespace setchain::net {
@@ -30,7 +29,7 @@ struct ConsensusLedgerConfig {
   std::uint32_t f = 1;  ///< fault-tolerance target (n >= 3f+1)
   std::uint32_t self = 0;
   /// Pacing for FRESH proposals: a proposer seals a new block from its
-  /// pool at most this often (same role as the sequencer's seal tick).
+  /// pool at most this often.
   sim::Time block_interval = sim::from_millis(150);
   /// Round liveness timeout: if a height has work pending and no block
   /// committed for this long, broadcast a round-skip (the proposer looks
@@ -50,9 +49,9 @@ struct ConsensusLedgerConfig {
 };
 
 /// Wire-level consensus block ledger: the CometbftSim state machine
-/// (src/ledger/consensus.hpp) ported onto real frames, replacing the fixed
-/// sequencer so a live cluster keeps the paper's f-tolerance — any f failed
-/// nodes (including every would-be proposer) and epochs keep committing.
+/// (src/ledger/consensus.hpp) ported onto real frames, the one ledger every
+/// live node runs. It keeps the paper's f-tolerance: with any f failed nodes
+/// (including every would-be proposer) epochs keep committing.
 ///
 /// AUTHENTICATED Tendermint-lite, one active height H = applied+1 at a time.
 /// Every consensus frame is signed with the author's Ed25519 key from the
@@ -135,40 +134,64 @@ struct ConsensusLedgerConfig {
 ///
 /// Single-threaded like everything in src/net: frames and timer ticks run on
 /// the owning NodeHost's simulation loop.
-class ConsensusLedger final : public IWireLedger {
+class ConsensusLedger final : public ledger::IBlockLedger {
  public:
+  using CommitHook = CommittedChain::CommitHook;
+
   ConsensusLedger(ConsensusLedgerConfig cfg, sim::Simulation& timers,
                   ITransport& transport);
 
-  void start() override;
+  /// Arm the consensus, sync and retransmit timers. Call once, before the
+  /// first frame is dispatched.
+  void start();
 
-  // IBlockLedger. `append` returns the local submission ordinal (see
-  // ReplicatedLedger::append for why that is enough in live deployments).
+  // IBlockLedger. `append` returns the local submission ordinal, NOT a tx
+  // table index: the tx may still be in flight to the proposer that commits
+  // it. Live deployments leave the metrics taps, the only consumers of the
+  // index, unwired.
   ledger::TxIdx append(sim::NodeId origin, ledger::Transaction tx) override;
   void on_new_block(sim::NodeId node, std::function<void(const ledger::Block&)> cb) override;
   std::uint64_t height() const override { return chain_.height(); }
 
-  // Frame entry points (NodeHost routes inbound frames here).
-  void on_tx_submit(EndpointId from, wire::TxSubmit&& m) override;
-  /// kBlock is not part of the consensus dialect (blocks travel as
-  /// certified proposals inside sync responses): always false.
-  bool on_block_frame(codec::ByteView payload) override;
-  void on_sync_request(EndpointId from, const wire::BlockSyncRequest& m) override;
-  void on_sync_response(const wire::BlockSyncResponse& m) override;
-  bool on_proposal(EndpointId from, codec::ByteView payload) override;
-  bool on_prevote(EndpointId from, const wire::VoteMsg& m) override;
-  bool on_precommit(EndpointId from, const wire::VoteMsg& m) override;
-  bool on_round_skip(EndpointId from, const wire::RoundSkipMsg& m) override;
+  // Frame entry points (NodeHost routes inbound ledger frames here). A
+  // handler that can face a malformed or misrouted payload returns false,
+  // and NodeHost counts the frame as bad.
+  void on_tx_submit(EndpointId from, wire::TxSubmit&& m);
+  void on_sync_request(EndpointId from, const wire::BlockSyncRequest& m);
+  void on_sync_response(const wire::BlockSyncResponse& m);
+  bool on_proposal(EndpointId from, codec::ByteView payload);
+  bool on_prevote(EndpointId from, const wire::VoteMsg& m);
+  bool on_precommit(EndpointId from, const wire::VoteMsg& m);
+  bool on_round_skip(EndpointId from, const wire::RoundSkipMsg& m);
 
-  std::uint64_t blocks_broadcast() const override { return blocks_broadcast_; }
+  /// Fresh proposals this node sealed and broadcast.
+  std::uint64_t blocks_broadcast() const { return blocks_broadcast_; }
 
-  // Durable storage (see IWireLedger).
-  void set_commit_hook(CommitHook hook) override {
-    chain_.set_commit_hook(std::move(hook));
-  }
-  void serialize_state(codec::Writer& w) const override;
-  bool restore_state(codec::Reader& r) override;
-  bool restore_block(codec::Bytes payload) override;
+  // ---- durable storage (src/storage, wired by NodeHost) ----
+
+  /// See CommittedChain::CommitHook: fires once per local commit with the
+  /// certified block, the payload the WAL logs.
+  void set_commit_hook(CommitHook hook) { chain_.set_commit_hook(std::move(hook)); }
+  /// Serialize the committed-ledger state into a snapshot body section:
+  /// applied height, submission ordinal, committed tx count, the committed
+  /// content-key set that makes post-restart re-publication safe, then the
+  /// masked nodes and their evidence (docs/STORAGE_FORMAT.md). Chain payload
+  /// bytes are NOT included — the WAL holds the tail, the snapshot compacts
+  /// everything below it.
+  void serialize_state(codec::Writer& w) const;
+  /// Inverse, onto a freshly constructed not-yet-started ledger. After a
+  /// successful restore the ledger reports height() == the snapshot height;
+  /// heights up to it are compacted away (block sync cannot serve them — a
+  /// fresh node that far behind needs a snapshot transfer, future work).
+  /// False on malformed input or a blob version other than 2.
+  bool restore_state(codec::Reader& r);
+  /// Replay one WAL block record (a certified block) during recovery. Must
+  /// be the next height (height()+1); the block flows through the normal
+  /// commit path including the application callback, but never back out
+  /// to the wire (NodeHost installs the commit hook only after replay, so
+  /// nothing is re-logged). False on parse failure, a bad certificate or a
+  /// height gap.
+  bool restore_block(codec::Bytes payload);
 
   std::uint32_t current_round() const { return cur_round_; }
   std::uint32_t proposer_for(std::uint64_t height1based, std::uint32_t round) const {

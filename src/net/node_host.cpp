@@ -8,31 +8,19 @@ namespace setchain::net {
 
 namespace {
 
-std::unique_ptr<IWireLedger> make_ledger(const NodeHostConfig& cfg,
-                                         sim::Simulation& sim,
-                                         ITransport& transport,
-                                         const crypto::Pki* pki,
-                                         std::uint64_t cluster) {
-  if (cfg.ledger_mode == runner::LedgerMode::kConsensus) {
-    ConsensusLedgerConfig lc;
-    lc.n = cfg.n;
-    lc.f = cfg.f;
-    lc.self = cfg.id;
-    lc.block_interval = cfg.block_interval;
-    lc.timeout_propose = cfg.timeout_propose;
-    lc.retry_interval = cfg.retry_interval;
-    lc.sync_interval = cfg.sync_interval;
-    lc.pki = pki;
-    lc.cluster = cluster;
-    return std::make_unique<ConsensusLedger>(lc, sim, transport);
-  }
-  ReplicatedLedgerConfig lc;
+ConsensusLedgerConfig ledger_config(const NodeHostConfig& cfg, const crypto::Pki* pki,
+                                    std::uint64_t cluster) {
+  ConsensusLedgerConfig lc;
   lc.n = cfg.n;
+  lc.f = cfg.f;
   lc.self = cfg.id;
   lc.block_interval = cfg.block_interval;
-  lc.sync_interval = cfg.sync_interval;
+  lc.timeout_propose = cfg.timeout_propose;
   lc.retry_interval = cfg.retry_interval;
-  return std::make_unique<ReplicatedLedger>(lc, sim, transport);
+  lc.sync_interval = cfg.sync_interval;
+  lc.pki = pki;
+  lc.cluster = cluster;
+  return lc;
 }
 
 }  // namespace
@@ -45,7 +33,7 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
       storage_(storage),
       cluster_(cluster_id_of(cfg)),
       pki_(cfg.seed),
-      ledger_(make_ledger(cfg, sim, transport, &pki_, cluster_)) {
+      ledger_(ledger_config(cfg, &pki_, cluster_), sim, transport) {
   // Shared deterministic PKI: servers 0..n-1 plus the advertised client id
   // range. Every process of the cluster derives the same keys from the seed.
   for (crypto::ProcessId p = 0; p < cfg_.n + cfg_.client_slots; ++p) {
@@ -67,14 +55,14 @@ NodeHost::NodeHost(NodeHostConfig cfg, sim::Simulation& sim, ITransport& transpo
   core::ServerContext ctx;
   ctx.sim = &sim_;
   ctx.batch_exchange = this;
-  ctx.ledger = ledger_.get();
+  ctx.ledger = &ledger_;
   ctx.pki = &pki_;
   ctx.params = &params_;
 
   // The algorithm picks the server class; every server is subscribed to the
   // ledger's committed blocks the same way.
   const auto install = [this](auto server) {
-    ledger_->on_new_block(
+    ledger_.on_new_block(
         cfg_.id, [p = server.get()](const ledger::Block& b) { p->on_new_block(b); });
     server_ = std::move(server);
   };
@@ -98,6 +86,9 @@ namespace {
 /// manifest): version, algorithm + ledger-mode sanity bytes, then the two
 /// length-prefixed state sections. docs/STORAGE_FORMAT.md is normative.
 constexpr std::uint8_t kSnapshotBodyVersion = 1;
+/// The ledger-mode byte: 1, the consensus ledger. Data dirs of the retired
+/// sequencer mode (0) are refused, not reinterpreted.
+constexpr std::uint8_t kSnapshotLedgerMode = 1;
 
 }  // namespace
 
@@ -119,7 +110,7 @@ bool NodeHost::recover(std::string* error) {
     const auto alg = r.u8();
     const auto mode = r.u8();
     if (!alg || *alg != static_cast<std::uint8_t>(cfg_.algorithm) || !mode ||
-        *mode != static_cast<std::uint8_t>(cfg_.ledger_mode)) {
+        *mode != kSnapshotLedgerMode) {
       return fail("snapshot body: algorithm/ledger-mode mismatch with config");
     }
     const auto ledger_state = r.lp_bytes();
@@ -128,7 +119,7 @@ bool NodeHost::recover(std::string* error) {
       return fail("snapshot body: truncated state sections");
     }
     codec::Reader lr(*ledger_state);
-    if (!ledger_->restore_state(lr)) {
+    if (!ledger_.restore_state(lr)) {
       return fail("snapshot body: ledger state did not restore");
     }
     codec::Reader sr(*server_state);
@@ -162,7 +153,7 @@ bool NodeHost::recover(std::string* error) {
   // 3. Block records, in order, through the normal commit path: the server
   // applies each one before the next is replayed.
   for (codec::Bytes& block : blocks) {
-    if (!ledger_->restore_block(std::move(block))) {
+    if (!ledger_.restore_block(std::move(block))) {
       return fail("WAL replay: a block record did not re-apply (height gap "
                   "or corrupt payload past the verified prefix)");
     }
@@ -183,7 +174,7 @@ bool NodeHost::recover(std::string* error) {
 void NodeHost::install_durability_hooks() {
   if (storage_ == nullptr || hooks_installed_) return;
   hooks_installed_ = true;
-  ledger_->set_commit_hook([this](std::uint64_t height, codec::ByteView raw) {
+  ledger_.set_commit_hook([this](std::uint64_t height, codec::ByteView raw) {
     storage_->append_block(height, raw);
   });
   if (hashchain_ != nullptr) {
@@ -200,7 +191,7 @@ void NodeHost::install_durability_hooks() {
       } else {
         w.bytes(core::serialize_batch(batch));
       }
-      storage_->append_batch(ledger_->height(), w.take());
+      storage_->append_batch(ledger_.height(), w.take());
     });
   }
 }
@@ -211,7 +202,7 @@ void NodeHost::start() {
   install_durability_hooks();
   transport_.set_handler(
       [this](EndpointId from, wire::Frame&& f) { on_frame(from, std::move(f)); });
-  ledger_->start();
+  ledger_.start();
   if (storage_ != nullptr && cfg_.snapshot_epochs > 0) {
     sim_.schedule_in(cfg_.sync_interval, [this] { storage_tick(); });
   }
@@ -222,8 +213,8 @@ void NodeHost::storage_tick() {
   // committed block, so (ledger state, server state) at this height is
   // exactly what a peer replaying those blocks would compute.
   if (server_->epoch() >= last_snapshot_epoch_ + cfg_.snapshot_epochs &&
-      server_->applied_height() == ledger_->height() &&
-      ledger_->height() > storage_->last_snapshot_height()) {
+      server_->applied_height() == ledger_.height() &&
+      ledger_.height() > storage_->last_snapshot_height()) {
     write_snapshot_now();
   }
   sim_.schedule_in(cfg_.sync_interval, [this] { storage_tick(); });
@@ -233,14 +224,14 @@ void NodeHost::write_snapshot_now() {
   codec::Writer body;
   body.u8(kSnapshotBodyVersion)
       .u8(static_cast<std::uint8_t>(cfg_.algorithm))
-      .u8(static_cast<std::uint8_t>(cfg_.ledger_mode));
+      .u8(kSnapshotLedgerMode);
   codec::Writer lw;
-  ledger_->serialize_state(lw);
+  ledger_.serialize_state(lw);
   body.lp_bytes(lw.buffer());
   codec::Writer sw;
   server_->serialize_state(sw);
   body.lp_bytes(sw.buffer());
-  if (storage_->write_snapshot(ledger_->height(), body.buffer())) {
+  if (storage_->write_snapshot(ledger_.height(), body.buffer())) {
     last_snapshot_epoch_ = server_->epoch();
   }
 }
@@ -252,20 +243,17 @@ void NodeHost::on_frame(EndpointId from, wire::Frame&& frame) {
     case MsgType::kTxSubmit: {
       if (is_client_endpoint(from)) break;  // clients use kAddRequest
       if (auto m = wire::parse_tx_submit(frame.payload)) {
-        ledger_->on_tx_submit(from, std::move(*m));
+        ledger_.on_tx_submit(from, std::move(*m));
         return;
       }
       break;
     }
-    case MsgType::kBlock: {
-      if (is_client_endpoint(from)) break;
-      if (ledger_->on_block_frame(frame.payload)) return;
+    case MsgType::kBlock:  // retired tag (sequencer blocks): a bad frame
       break;
-    }
     case MsgType::kBlockSyncRequest: {
       if (is_client_endpoint(from)) break;
       if (auto m = wire::parse_block_sync_request(frame.payload)) {
-        ledger_->on_sync_request(from, *m);
+        ledger_.on_sync_request(from, *m);
         return;
       }
       break;
@@ -273,38 +261,36 @@ void NodeHost::on_frame(EndpointId from, wire::Frame&& frame) {
     case MsgType::kBlockSyncResponse: {
       if (is_client_endpoint(from)) break;
       if (auto m = wire::parse_block_sync_response(frame.payload)) {
-        ledger_->on_sync_response(*m);
+        ledger_.on_sync_response(*m);
         return;
       }
       break;
     }
 
-    // ---- server <-> server: consensus-mode ordering. The sequencer-mode
-    // ledger rejects these (its on_* defaults return false), so they count
-    // as bad frames outside consensus deployments. ----
+    // ---- server <-> server: consensus ordering ----
     case MsgType::kProposal: {
       if (is_client_endpoint(from)) break;
-      if (ledger_->on_proposal(from, frame.payload)) return;
+      if (ledger_.on_proposal(from, frame.payload)) return;
       break;
     }
     case MsgType::kPrevote: {
       if (is_client_endpoint(from)) break;
       if (const auto m = wire::parse_vote(frame.payload)) {
-        if (ledger_->on_prevote(from, *m)) return;
+        if (ledger_.on_prevote(from, *m)) return;
       }
       break;
     }
     case MsgType::kPrecommit: {
       if (is_client_endpoint(from)) break;
       if (const auto m = wire::parse_vote(frame.payload)) {
-        if (ledger_->on_precommit(from, *m)) return;
+        if (ledger_.on_precommit(from, *m)) return;
       }
       break;
     }
     case MsgType::kRoundSkip: {
       if (is_client_endpoint(from)) break;
       if (const auto m = wire::parse_round_skip(frame.payload)) {
-        if (ledger_->on_round_skip(from, *m)) return;
+        if (ledger_.on_round_skip(from, *m)) return;
       }
       break;
     }

@@ -8,9 +8,7 @@
 #include "core/vanilla.hpp"
 #include "crypto/pki.hpp"
 #include "net/consensus_ledger.hpp"
-#include "net/replicated_ledger.hpp"
 #include "net/transport.hpp"
-#include "net/wire_ledger.hpp"
 #include "runner/scenario.hpp"
 #include "sim/simulation.hpp"
 #include "storage/storage.hpp"
@@ -35,12 +33,10 @@ struct NodeHostConfig {
   sim::Time block_interval = sim::from_millis(150);
   sim::Time sync_interval = sim::from_millis(400);
 
-  /// How blocks get ordered: a fixed sequencer (fast, no fail-over) or
-  /// wire-level consensus (any f crashed nodes tolerated). Folded into the
-  /// cluster id, so mixed-mode clusters cannot form by accident.
-  runner::LedgerMode ledger_mode = runner::LedgerMode::kFixedSequencer;
+  /// Not read here; commitbench/commit_bench.cpp is its only writer.
+  runner::LedgerMode ledger_mode = runner::LedgerMode::kConsensus;
   sim::Time timeout_propose = sim::from_millis(3000);  ///< consensus round timeout
-  /// Retransmit base, both modes: own submissions and consensus state.
+  /// Retransmit base: own submissions and consensus state.
   sim::Time retry_interval = sim::from_millis(400);
 
   /// Epoch-snapshot compaction cadence: once the node's epoch has advanced
@@ -56,7 +52,7 @@ struct NodeHostConfig {
 };
 
 /// One live Setchain node: a full-fidelity SetchainServer (vanilla /
-/// compresschain / hashchain), the transport-replicated ledger, the
+/// compresschain / hashchain), the consensus ledger, the
 /// Hashchain batch exchange, and the client RPC service — everything behind
 /// one ITransport. Single-threaded: frames arrive through on_frame (wired
 /// to the transport handler) and timers fire through the simulation used as
@@ -106,8 +102,8 @@ class NodeHost final : public core::IBatchExchange {
 
   core::SetchainServer& server() { return *server_; }
   const core::SetchainServer& server() const { return *server_; }
-  IWireLedger& ledger() { return *ledger_; }
-  const IWireLedger& ledger() const { return *ledger_; }
+  ConsensusLedger& ledger() { return ledger_; }
+  const ConsensusLedger& ledger() const { return ledger_; }
   crypto::Pki& pki() { return pki_; }
   const core::SetchainParams& params() const { return params_; }
   const NodeHostConfig& config() const { return cfg_; }
@@ -124,8 +120,7 @@ class NodeHost final : public core::IBatchExchange {
 
   static std::uint64_t cluster_id_of(const NodeHostConfig& cfg) {
     return wire::cluster_id(cfg.seed, cfg.n, cfg.f,
-                            static_cast<std::uint8_t>(cfg.algorithm),
-                            static_cast<std::uint8_t>(cfg.ledger_mode));
+                            static_cast<std::uint8_t>(cfg.algorithm));
   }
 
  private:
@@ -149,7 +144,7 @@ class NodeHost final : public core::IBatchExchange {
 
   crypto::Pki pki_;
   core::SetchainParams params_;
-  std::unique_ptr<IWireLedger> ledger_;  ///< ReplicatedLedger or ConsensusLedger
+  ConsensusLedger ledger_;
   std::unique_ptr<core::SetchainServer> server_;
   core::HashchainServer* hashchain_ = nullptr;  ///< set when algorithm is Hashchain
 

@@ -25,7 +25,7 @@ using FrameHandler = std::function<void(EndpointId from, wire::Frame&&)>;
 /// or delivery guarantee beyond what the backend gives (loopback: in-order
 /// unless a fault plan drops; TCP: in-order per connection, frames lost
 /// whenever a connection drops). Everything above this interface —
-/// replicated ledger, batch exchange, client RPC — must tolerate loss,
+/// consensus ledger, batch exchange, client RPC — must tolerate loss,
 /// which is exactly the asynchronous-network model of the paper.
 class ITransport {
  public:

@@ -155,21 +155,20 @@ DecodeStatus FrameReader::next(Frame& out) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t cluster_id(std::uint64_t seed, std::uint32_t n, std::uint32_t f,
-                         std::uint8_t algorithm, std::uint8_t ledger_mode) {
+                         std::uint8_t algorithm) {
   std::uint64_t s = seed ^ 0xC1D57E55ULL;
   std::uint64_t v = sim::splitmix64(s);
   s ^= (static_cast<std::uint64_t>(n) << 32) | (static_cast<std::uint64_t>(f) << 8) |
        algorithm;
   v ^= sim::splitmix64(s);
-  // Folded as an extra mixing stage so mode-0 (fixed sequencer) ids are
-  // byte-identical to the historical four-parameter derivation. The dialect
-  // revision rides in the same stage: a consensus binary speaking an older
-  // frame layout derives a different id and is refused at Hello.
-  if (ledger_mode != 0) {
-    s ^= static_cast<std::uint64_t>(ledger_mode) << 16;
-    s ^= static_cast<std::uint64_t>(kConsensusWireRevision) << 24;
-    v ^= sim::splitmix64(s);
-  }
+  // The ordering stage: the consensus ledger's mode byte (1) and the
+  // dialect revision, so a consensus binary speaking an older frame layout
+  // derives a different id and is refused at Hello. The retired sequencer
+  // (mode 0) skipped this stage, so its ids never collide with these.
+  constexpr std::uint64_t kLedgerModeConsensus = 1;
+  s ^= kLedgerModeConsensus << 16;
+  s ^= static_cast<std::uint64_t>(kConsensusWireRevision) << 24;
+  v ^= sim::splitmix64(s);
   return v;
 }
 
@@ -450,8 +449,8 @@ std::optional<ledger::Transaction> get_tx(codec::Reader& r) {
   return tx;
 }
 
-/// Block grammar shared by kBlock and the signed kProposal prefix. Does NOT
-/// require the reader to be exhausted — the caller decides what follows.
+/// Block grammar of the signed kProposal prefix. Does NOT require the
+/// reader to be exhausted — the caller decides what follows.
 std::optional<BlockView> get_block_view(codec::Reader& r) {
   BlockView m;
   const auto height = r.varint();
@@ -500,16 +499,10 @@ codec::Bytes encode_block(std::uint64_t height, std::uint32_t proposer,
   return w.take();
 }
 
-std::optional<BlockView> parse_block_view(codec::ByteView payload) {
-  codec::Reader r(payload);
-  auto m = get_block_view(r);
-  if (!m) return std::nullopt;
-  return finish(r, std::move(*m));
-}
-
 std::optional<BlockMsg> parse_block(codec::ByteView payload) {
-  auto v = parse_block_view(payload);
-  if (!v) return std::nullopt;
+  codec::Reader r(payload);
+  auto v = get_block_view(r);
+  if (!v || !r.done()) return std::nullopt;
   BlockMsg m;
   m.height = v->height;
   m.proposer = v->proposer;

@@ -52,14 +52,15 @@ enum class MsgType : std::uint8_t {
   kEpochRequest = 0x16,
   kEpochResponse = 0x17,
 
-  // Server <-> server: replicated-ledger traffic.
+  // Server <-> server: ledger traffic.
   kTxSubmit = 0x20,
+  /// Retired (the sequencer ledger's bare blocks). Reserved, never reused:
+  /// a node counts it as a bad frame.
   kBlock = 0x21,
   kBlockSyncRequest = 0x22,
   kBlockSyncResponse = 0x23,
 
-  // Server <-> server: consensus-mode ordering (proposal voting; only
-  // spoken by clusters deployed with LedgerMode::kConsensus).
+  // Server <-> server: consensus ordering (proposal voting).
   kProposal = 0x24,
   kPrevote = 0x25,
   kPrecommit = 0x26,
@@ -151,23 +152,20 @@ class FrameReader {
 
 /// Consensus wire dialect revision. Bumped when the consensus frame layouts
 /// (kProposal/kPrevote/kPrecommit/kRoundSkip and the certified-block sync
-/// payload) change incompatibly; mixed into cluster_id() for non-sequencer
-/// modes so old consensus binaries are cleanly rejected at the Hello
-/// handshake instead of mis-parsing signed frames. Revision 2 = signed
-/// consensus frames (Ed25519 over domain-separated transcripts).
+/// payload) change incompatibly; mixed into cluster_id() so old consensus
+/// binaries are cleanly rejected at the Hello handshake instead of
+/// mis-parsing signed frames. Revision 2 = signed consensus frames (Ed25519
+/// over domain-separated transcripts).
 inline constexpr std::uint8_t kConsensusWireRevision = 2;
 
 /// Identifies a cluster instance: every process derives the same value from
-/// the shared (seed, n, f, algorithm, ledger_mode) deployment parameters, so
-/// a daemon refuses peers/clients configured for a different cluster.
-/// `ledger_mode` folds the ordering layer in (0 = fixed sequencer, the
-/// historical value — ids for mode 0 are unchanged from v1 four-parameter
-/// derivations): a consensus-mode daemon and a sequencer-mode daemon can
-/// never join one cluster and deadlock on each other's ledger traffic.
-/// Non-zero modes additionally mix kConsensusWireRevision, so binaries
-/// speaking different consensus dialects split into disjoint clusters.
+/// the shared (seed, n, f, algorithm) deployment parameters, so a daemon
+/// refuses peers/clients configured for a different cluster. The derivation
+/// also mixes the consensus ledger's mode byte (1) and
+/// kConsensusWireRevision, so binaries speaking different consensus
+/// dialects split into disjoint clusters.
 std::uint64_t cluster_id(std::uint64_t seed, std::uint32_t n, std::uint32_t f,
-                         std::uint8_t algorithm, std::uint8_t ledger_mode = 0);
+                         std::uint8_t algorithm);
 
 inline constexpr std::uint8_t kRoleServer = 0;
 inline constexpr std::uint8_t kRoleClient = 1;
@@ -252,10 +250,10 @@ codec::Bytes encode_epoch_response(const EpochResponse& m);
 std::optional<EpochResponse> parse_epoch_response(codec::ByteView payload);
 
 /// kTxSubmit: kind u8, wire_size varint, data lp_bytes — one ledger
-/// transaction forwarded to the sequencer. The same (kind, wire_size, data)
-/// triple encodes each transaction inside kBlock payloads.
+/// transaction gossiped to the peers that may propose it. The same (kind,
+/// wire_size, data) triple encodes each transaction inside block bytes.
 struct TxSubmit {
-  ledger::Transaction tx;  ///< uid unset (the sequencer assigns it)
+  ledger::Transaction tx;  ///< uid unset
 };
 codec::Bytes encode_tx_submit(const ledger::Transaction& tx);
 std::optional<TxSubmit> parse_tx_submit(codec::ByteView payload);
@@ -263,8 +261,9 @@ std::optional<TxSubmit> parse_tx_submit(codec::ByteView payload);
 /// Unlike `wire_size` (the sender's claim), this is what the bytes measure.
 std::uint64_t tx_encoded_size(const ledger::Transaction& tx);
 
-/// kBlock: height varint, proposer varint, tx count varint, txs (kTxSubmit
-/// triple each). Heights are 1-based and delivered in order at every node.
+/// Block bytes, the unsigned prefix of a kProposal: height varint, proposer
+/// varint, tx count varint, txs (kTxSubmit triple each). Heights are 1-based
+/// and delivered in order at every node.
 struct BlockMsg {
   std::uint64_t height = 0;
   std::uint32_t proposer = 0;
@@ -289,7 +288,6 @@ struct BlockView {
   std::uint32_t proposer = 0;
   std::vector<TxView> txs;
 };
-std::optional<BlockView> parse_block_view(codec::ByteView payload);
 
 /// kBlockSyncRequest: from_height varint ("send me blocks >= from_height").
 struct BlockSyncRequest {
@@ -298,19 +296,19 @@ struct BlockSyncRequest {
 codec::Bytes encode_block_sync_request(const BlockSyncRequest& m);
 std::optional<BlockSyncRequest> parse_block_sync_request(codec::ByteView payload);
 
-/// kBlockSyncResponse: count varint, blocks (each an lp_bytes-wrapped kBlock
-/// payload). Responses are capped (config) so one reply never exceeds the
-/// frame limit; the requester keeps asking until caught up.
+/// kBlockSyncResponse: count varint, blocks (each an lp_bytes-wrapped
+/// certified block, below). Responses are capped (config) so one reply
+/// never exceeds the frame limit; the requester keeps asking until caught up.
 struct BlockSyncResponse {
-  std::vector<codec::Bytes> blocks;  ///< kBlock payloads, ascending heights
+  std::vector<codec::Bytes> blocks;  ///< certified blocks, ascending heights
 };
 codec::Bytes encode_block_sync_response(const std::vector<codec::ByteView>& blocks);
 std::optional<BlockSyncResponse> parse_block_sync_response(codec::ByteView payload);
 
-/// kProposal: a consensus-mode block proposal, SIGNED by its proposer.
-/// Layout: block bytes (the kBlock layout: height varint, proposer varint,
-/// tx count varint, txs) followed by the proposer's 64-byte Ed25519
-/// signature over proposal_transcript(cluster, block bytes). The 32-byte
+/// kProposal: a consensus block proposal, SIGNED by its proposer.
+/// Layout: block bytes (height varint, proposer varint, tx count varint,
+/// txs) followed by the proposer's 64-byte Ed25519 signature over
+/// proposal_transcript(cluster, block bytes). The 32-byte
 /// proposal hash that every vote carries is SHA-256 of the FULL payload
 /// (block bytes ‖ signature), so ANY holder can retransmit the original
 /// bytes past a crashed proposer and the hash stays stable while the

@@ -30,26 +30,6 @@ std::optional<Algorithm> parse_algorithm(std::string_view name) {
   return std::nullopt;
 }
 
-const char* ledger_mode_name(LedgerMode m) {
-  switch (m) {
-    case LedgerMode::kFixedSequencer:
-      return "sequencer";
-    case LedgerMode::kConsensus:
-      return "consensus";
-  }
-  return "?";
-}
-
-std::optional<LedgerMode> parse_ledger_mode(std::string_view name) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (lower == "sequencer") return LedgerMode::kFixedSequencer;
-  if (lower == "consensus") return LedgerMode::kConsensus;
-  return std::nullopt;
-}
-
 std::vector<std::string> Scenario::validate() const {
   std::vector<std::string> errors;
   const auto reject = [&errors](std::string msg) { errors.push_back(std::move(msg)); };

@@ -21,18 +21,10 @@ const char* algorithm_name(Algorithm a);
 /// every Algorithm.
 std::optional<Algorithm> parse_algorithm(std::string_view name);
 
-/// Ordering layer of a LIVE deployment (net::NodeHost daemons over a real
-/// transport). kFixedSequencer is the fast single-ordering-node default for
-/// benches; kConsensus runs the wire-level consensus port (rotating
-/// proposers, round skips, vote quorums) and keeps committing with up to f
-/// crashed nodes — the f-tolerance the paper's properties assume. The DES
-/// Experiment always simulates the full CometbftSim.
-enum class LedgerMode : std::uint8_t { kFixedSequencer, kConsensus };
-
-const char* ledger_mode_name(LedgerMode m);
-
-/// Inverse of ledger_mode_name, case-insensitive ("sequencer"/"consensus").
-std::optional<LedgerMode> parse_ledger_mode(std::string_view name);
+/// Ordering layer of a live deployment: the wire-level consensus ledger,
+/// the only one left. Kept as a one-value type for
+/// NodeHostConfig::ledger_mode, which commitbench still sets.
+enum class LedgerMode : std::uint8_t { kConsensus = 1 };
 
 /// Complete description of one experiment run: the Table-1 parameter grid
 /// plus fidelity/measurement knobs. Defaults mirror the paper's base

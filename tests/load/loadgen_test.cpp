@@ -128,7 +128,6 @@ net::NodeHostConfig soak_config() {
   cfg.n = 4;
   cfg.f = 1;
   cfg.algorithm = runner::Algorithm::kHashchain;
-  cfg.ledger_mode = runner::LedgerMode::kFixedSequencer;
   cfg.seed = 42;
   cfg.collector_limit = 64;
   cfg.collector_timeout = sim::from_millis(50);

@@ -1,15 +1,15 @@
-// Consensus-mode live clusters over the loopback transport: the wire-level
+// Consensus live clusters over the loopback transport: the wire-level
 // ConsensusLedger must (a) match the in-process sim reference on P1-P9 in
 // fault-free runs for every algorithm, (b) keep committing epochs with the
-// round-0 proposer crashed — the f-tolerance the fixed sequencer lacks —
-// under the PR-4 fault-injection plans with seeded replays, (c) reject
-// malformed or mode-mismatched frames without poisoning a node, and (d)
+// round-0 proposer crashed — the paper's f-tolerance — under the PR-4
+// fault-injection plans with seeded replays, (c) reject malformed frames
+// without poisoning a node, and (d)
 // survive a fully Byzantine member — an honest ledger behind a
 // ByzantineTransport: equivocating proposals, double votes, forged votes,
 // junk sync — and corrupted frames, by masking the equivocator and staying
 // conformant on the honest majority, whose own frames never equivocate.
 // Two regressions ride along: a submit window cut mid-flight must heal by
-// resubmission, not luck, under both ledger modes; and oversized txs must
+// resubmission, not luck; and oversized txs must
 // neither overfill nor wedge a block. A node one commit behind must hold the
 // next height's proposal instead of dropping it (ConsensusLookahead).
 #include "net/consensus_ledger.hpp"
@@ -28,8 +28,6 @@ namespace {
 
 using namespace setchain::net::testing;
 
-constexpr runner::LedgerMode kConsensus = runner::LedgerMode::kConsensus;
-
 class ConsensusClusterConformance
     : public ::testing::TestWithParam<runner::Algorithm> {};
 
@@ -38,7 +36,7 @@ class ConsensusClusterConformance
 // in-process InstantLedger reference — ordering by consensus, not by a
 // sequencer, must be invisible to the Setchain layer.
 TEST_P(ConsensusClusterConformance, MatchesSimReferenceWithoutSequencer) {
-  LoopbackCluster cl(GetParam(), kConsensus);
+  LoopbackCluster cl(GetParam());
   cl.start();
 
   const auto elements = make_workload(cl.cfg, 30, cl.pki);
@@ -66,6 +64,7 @@ TEST_P(ConsensusClusterConformance, MatchesSimReferenceWithoutSequencer) {
     EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
   }
   const auto verdict = client.verify(accepted.front());
+  EXPECT_TRUE(verdict.in_epoch);
   EXPECT_TRUE(verdict.committed);
   EXPECT_GE(verdict.valid_proofs, cl.cfg.f + 1);
 
@@ -85,11 +84,11 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ConsensusClusterConformance,
 
 // THE bug this ledger exists to fix: crash the node that proposes height 1
 // round 0 (proposer_for(1,0) = 1 % n = node 1) before any work lands, never
-// restart it. The fixed sequencer would stall forever if it were node 1;
+// restart it. A single fixed orderer would stall forever if it were node 1;
 // consensus must round-skip past the corpse at every height it would have
 // proposed and commit the full workload on the survivors.
 TEST(ConsensusFailover, ClusterSurvivesRound0ProposerCrash) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   sim::FaultPlan plan;
   plan.faults.push_back(
       sim::Fault::crash(/*node=*/1, sim::from_millis(10), sim::kNeverHeals));
@@ -134,7 +133,7 @@ TEST(ConsensusFailover, ClusterSurvivesRound0ProposerCrash) {
 TEST(ConsensusFailover, SeededCrashPlansReplayAgainstReference) {
   for (const std::uint64_t seed : {7ull, 1234ull}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    LoopbackCluster cl(runner::Algorithm::kHashchain, kConsensus, seed);
+    LoopbackCluster cl(runner::Algorithm::kHashchain, seed);
     sim::FaultPlan plan;
     plan.faults.push_back(
         sim::Fault::crash(/*node=*/1, sim::from_millis(50), sim::kNeverHeals));
@@ -165,10 +164,10 @@ TEST(ConsensusFailover, SeededCrashPlansReplayAgainstReference) {
   }
 }
 
-// Malformed payloads under every consensus frame type (and a bare kBlock,
-// which the consensus dialect does not speak) are counted and ignored.
+// Malformed payloads under every consensus frame type (and the retired
+// kBlock tag, which no node speaks) are counted and ignored.
 TEST(ConsensusRobustness, MalformedConsensusFramesAreCountedAndIgnored) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.start();
 
   for (const auto type : {wire::MsgType::kProposal, wire::MsgType::kPrevote,
@@ -194,37 +193,6 @@ TEST(ConsensusRobustness, MalformedConsensusFramesAreCountedAndIgnored) {
   ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
 }
 
-// Mode mismatch: a sequencer-mode node receiving consensus frames counts
-// them as bad (the ledger-mode byte in the cluster id makes this
-// unreachable for correctly configured deployments — this is the backstop).
-TEST(ConsensusRobustness, SequencerModeRejectsConsensusFrames) {
-  sim::Simulation sim;
-  LoopbackHub hub(sim, 2);
-  NodeHostConfig cfg;
-  cfg.n = 2;
-  cfg.f = 0;
-  cfg.id = 0;
-  cfg.algorithm = runner::Algorithm::kVanilla;
-  NodeHost host(cfg, sim, hub.transport(0));
-  host.start();
-
-  wire::VoteMsg vote;
-  vote.height = 1;
-  vote.round = 0;
-  vote.voter = 1;
-  hub.transport(1).send(0, wire::MsgType::kPrevote, wire::encode_vote(vote));
-  hub.transport(1).send(0, wire::MsgType::kPrecommit, wire::encode_vote(vote));
-  hub.transport(1).send(0, wire::MsgType::kRoundSkip,
-                        wire::encode_round_skip({1, 0, 1}));
-  ledger::Transaction tx;
-  tx.kind = ledger::TxKind::kOpaque;
-  tx.wire_size = 4;
-  tx.data = codec::Bytes{1, 2, 3, 4};
-  hub.transport(1).send(0, wire::MsgType::kProposal, wire::encode_block(1, 1, {&tx}));
-  sim.run_until(sim.now() + sim::from_seconds(1));
-  EXPECT_EQ(host.bad_frames(), 4u);
-}
-
 // THE Byzantine scenario: node 1 — the round-0 proposer of height 1 — runs
 // behind a ByzantineTransport, so every adversarial behaviour is on at once
 // (equivocating proposals, double votes, forged votes, junk sync), signing
@@ -234,7 +202,7 @@ TEST(ConsensusRobustness, SequencerModeRejectsConsensusFrames) {
 // commit the full workload with exact P1-P9 conformance against the
 // fault-free reference.
 TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.start(byzantine_node(1));
 
   const std::vector<std::uint32_t> byz = {1};
@@ -254,17 +222,16 @@ TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
   std::uint64_t bad = 0;
   std::uint32_t masked_at = 0;
   for (const std::uint32_t i : {0u, 2u, 3u}) {
-    const ConsensusLedger* c = cl.cons(i);
-    ASSERT_NE(c, nullptr);
-    equivocations += c->equivocations_detected();
-    sig_rejects += c->vote_sig_rejects();
+    const ConsensusLedger& c = cl.hosts[i]->ledger();
+    equivocations += c.equivocations_detected();
+    sig_rejects += c.vote_sig_rejects();
     bad += cl.hosts[i]->bad_frames();
-    if (c->masked(1)) {
+    if (c.masked(1)) {
       ++masked_at;
-      ASSERT_FALSE(c->evidence().empty());
-      EXPECT_EQ(c->evidence().front().node, 1u);
+      ASSERT_FALSE(c.evidence().empty());
+      EXPECT_EQ(c.evidence().front().node, 1u);
     }
-    EXPECT_FALSE(c->masked(i)) << "honest node " << i << " masked itself";
+    EXPECT_FALSE(c.masked(i)) << "honest node " << i << " masked itself";
   }
   EXPECT_GE(equivocations, 1u);
   EXPECT_EQ(masked_at, 3u) << "an honest node never masked the equivocator";
@@ -307,7 +274,7 @@ class ConsensusFrameTap final : public ForwardingTransport {
 // proposal of ANOTHER proposer may change over a height; that is not
 // equivocation and is not checked.)
 TEST(ConsensusByzantine, HonestNodesNeverEquivocate) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   std::map<std::uint32_t, const ConsensusFrameTap*> taps;
   cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
     if (c.id == 1) return std::make_unique<ByzantineTransport>(t, c);
@@ -366,7 +333,7 @@ TEST(ConsensusByzantine, HonestNodesNeverEquivocate) {
 // round spam is clamped to a bounded number of tracked rounds, and the
 // masked set survives a state-snapshot round trip (consensus state v2).
 TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.start();
 
   const std::uint64_t cluster = cl.hosts[0]->cluster();
@@ -385,21 +352,20 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
   send_prevote(1, 1, 0, 0x11);
   send_prevote(1, 1, 0, 0x22);
   cl.pump_seconds(1);
-  const ConsensusLedger* c0 = cl.cons(0);
-  ASSERT_NE(c0, nullptr);
-  EXPECT_EQ(c0->equivocations_detected(), 1u);
-  EXPECT_TRUE(c0->masked(1));
-  EXPECT_EQ(c0->masked_count(), 1u);
-  ASSERT_EQ(c0->evidence().size(), 1u);
-  EXPECT_EQ(c0->evidence()[0].node, 1u);
-  EXPECT_EQ(c0->evidence()[0].kind, 0u);  // conflicting votes
+  const ConsensusLedger& c0 = cl.hosts[0]->ledger();
+  EXPECT_EQ(c0.equivocations_detected(), 1u);
+  EXPECT_TRUE(c0.masked(1));
+  EXPECT_EQ(c0.masked_count(), 1u);
+  ASSERT_EQ(c0.evidence().size(), 1u);
+  EXPECT_EQ(c0.evidence()[0].node, 1u);
+  EXPECT_EQ(c0.evidence()[0].kind, 0u);  // conflicting votes
 
   // Masking is permanent and idempotent: a third conflicting vote changes
   // nothing (it is dropped before it even reaches signature verification).
   send_prevote(1, 1, 0, 0x33);
   cl.pump_seconds(1);
-  EXPECT_EQ(c0->equivocations_detected(), 1u);
-  EXPECT_EQ(c0->evidence().size(), 1u);
+  EXPECT_EQ(c0.equivocations_detected(), 1u);
+  EXPECT_EQ(c0.evidence().size(), 1u);
 
   // Round spam: node 2 names rounds 0..63 of the active height. Before the
   // per-voter slot rework this grew a per-(round, hash) entry for every
@@ -407,10 +373,10 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
   // tracked, one fixed-size slot vector each.
   for (std::uint32_t r = 0; r < 64; ++r) send_prevote(2, 1, r, 0x44);
   cl.pump_seconds(1);
-  EXPECT_GE(c0->vote_rounds_tracked(), 1u);
+  EXPECT_GE(c0.vote_rounds_tracked(), 1u);
   // The local round may have drifted a little (idle skip quorums), but 64
   // named rounds must never mean 64 tracked rounds.
-  EXPECT_LE(c0->vote_rounds_tracked(), c0->current_round() + 9u);
+  EXPECT_LE(c0.vote_rounds_tracked(), c0.current_round() + 9u);
 
   codec::Writer w;
   cl.hosts[0]->ledger().serialize_state(w);
@@ -436,7 +402,7 @@ TEST(ConsensusByzantine, VoteEquivocationMasksOnceAndBoundsBookkeeping) {
 // sender) instead of squatting. The buffered claims are held on commit and
 // must not wedge a later workload.
 TEST(ConsensusByzantine, FutureHeightIntakeBuffersOneHeightOnly) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.start();
   const std::uint64_t cluster = cl.hosts[0]->cluster();
 
@@ -483,14 +449,13 @@ TEST(ConsensusByzantine, FutureHeightIntakeBuffersOneHeightOnly) {
   send_proposal(3, /*tagged=*/false, /*signer=*/3);
   cl.pump_seconds(1);
 
-  const ConsensusLedger* c0 = cl.cons(0);
-  ASSERT_NE(c0, nullptr);
-  EXPECT_EQ(c0->votes_buffered(), 2u);  // one prevote slot + one skip slot
-  EXPECT_EQ(c0->votes_dropped_ahead(), 1u);
+  const ConsensusLedger& c0 = cl.hosts[0]->ledger();
+  EXPECT_EQ(c0.votes_buffered(), 2u);  // one prevote slot + one skip slot
+  EXPECT_EQ(c0.votes_dropped_ahead(), 1u);
   EXPECT_EQ(bad_after_forgery, 1u) << "the forged proposal was not refused at intake";
   EXPECT_EQ(cl.hosts[0]->bad_frames(), bad_after_forgery);
-  EXPECT_EQ(c0->proposals_buffered(), 1u) << "proposer 3 took more than one slot";
-  EXPECT_EQ(c0->proposals_dropped_ahead(), 1u);
+  EXPECT_EQ(c0.proposals_buffered(), 1u) << "proposer 3 took more than one slot";
+  EXPECT_EQ(c0.proposals_dropped_ahead(), 1u);
 
   const auto elements = make_workload(cl.cfg, 8, cl.pki);
   std::vector<std::unique_ptr<RemoteNode>> stubs;
@@ -556,7 +521,7 @@ class EarlyProposalTap final : public ForwardingTransport {
 // behind. Node 0 must hold that proposal and commit H+1 right after H, not
 // drop it and wait for a retransmit or a sync pull.
 TEST(ConsensusLookahead, NextHeightProposalCommitsWithoutRetransmitWait) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus, /*seed=*/42, /*n=*/4,
+  LoopbackCluster cl(runner::Algorithm::kVanilla, /*seed=*/42, /*n=*/4,
                      /*link_latency=*/sim::from_millis(1));
   const EarlyProposalTap* tap = nullptr;
   cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
@@ -588,9 +553,8 @@ TEST(ConsensusLookahead, NextHeightProposalCommitsWithoutRetransmitWait) {
 
   ASSERT_NE(tap, nullptr);
   ASSERT_FALSE(tap->early.empty()) << "no proposal ever arrived a height early";
-  const ConsensusLedger* c0 = cl.cons(0);
-  ASSERT_NE(c0, nullptr);
-  EXPECT_GT(c0->proposals_buffered(), 0u);
+  const ConsensusLedger& c0 = cl.hosts[0]->ledger();
+  EXPECT_GT(c0.proposals_buffered(), 0u);
   // A dropped proposal costs a retransmit or sync wait (hundreds of ms); a
   // held one commits one height, three 1 ms hops, after the one before.
   for (const std::uint64_t h : tap->early) {
@@ -613,7 +577,7 @@ TEST(ConsensusLookahead, NextHeightProposalCommitsWithoutRetransmitWait) {
 // validators — never in committed state. Conformance against the fault-free
 // reference proves it.
 TEST(ConsensusRobustness, CorruptedFramesDoNotBreakConformance) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   sim::FaultPlan plan;
   plan.faults.push_back(sim::Fault::corrupt(sim::kAnyNode, sim::kAnyNode,
                                             /*probability=*/0.05,
@@ -645,7 +609,7 @@ TEST(ConsensusRobustness, CorruptedFramesDoNotBreakConformance) {
 // entry is no valid certified block — must bump cert_rejects and commit
 // nothing; the node keeps working afterwards.
 TEST(ConsensusRobustness, JunkSyncResponsesAreRejectedAndCounted) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.start();
 
   const codec::Bytes junk = codec::to_bytes("not a certified block");
@@ -653,10 +617,9 @@ TEST(ConsensusRobustness, JunkSyncResponsesAreRejectedAndCounted) {
   cl.hub.transport(2).send(0, wire::MsgType::kBlockSyncResponse,
                            wire::encode_block_sync_response(blocks));
   cl.pump_seconds(1);
-  const ConsensusLedger* c0 = cl.cons(0);
-  ASSERT_NE(c0, nullptr);
-  EXPECT_EQ(c0->cert_rejects(), 1u);
-  EXPECT_EQ(c0->height(), 0u);
+  const ConsensusLedger& c0 = cl.hosts[0]->ledger();
+  EXPECT_EQ(c0.cert_rejects(), 1u);
+  EXPECT_EQ(c0.height(), 0u);
 
   const auto elements = make_workload(cl.cfg, 8, cl.pki);
   std::vector<std::unique_ptr<RemoteNode>> stubs;
@@ -702,7 +665,7 @@ void record_committed_txs(LoopbackCluster& cl, std::vector<ledger::Transaction>&
 // wire_size: three 300 KB txs claiming one byte each must commit in three
 // blocks, none of them over kMaxBlockBytes.
 TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   std::size_t largest_block = 0;
   std::vector<ledger::Transaction> txs;
   cl.start();
@@ -728,7 +691,7 @@ TEST(ConsensusRobustness, UnderclaimedTxSizesCannotOverfillABlock) {
 // wedge the cluster: every honest proposer reaps it first and seals a
 // proposal no frame can carry.
 TEST(ConsensusRobustness, TxLargerThanABlockIsRefusedNotSealed) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, kConsensus);
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   std::vector<ledger::Transaction> txs;
   cl.start();
   record_committed_txs(cl, txs);
@@ -769,18 +732,15 @@ class TxSubmitCut final : public ForwardingTransport {
   std::uint64_t cut_ = 0;
 };
 
-class OwnSubmitResubmission : public ::testing::TestWithParam<runner::LedgerMode> {};
-
-// Own-submission retransmission, under both ordering policies: node 2's
-// kTxSubmit stream is severed mid-flight for 2.4 s, and every element is
-// added through node 2 alone, so its submits are the only way into a block
-// (in consensus mode node 2 pools them too, but height 1 is node 1's to
-// propose, and the round timeout outlasts the test, so no round skip hands
-// node 2 a turn). Commits must come
-// from capped-backoff retransmission — a lost submit was once silently gone
-// and the element never committed.
-TEST_P(OwnSubmitResubmission, LostSubmitWindowHealsByRetransmission) {
-  LoopbackCluster cl(runner::Algorithm::kVanilla, GetParam());
+// Own-submission retransmission: node 2's kTxSubmit stream is severed
+// mid-flight for 2.4 s, and every element is added through node 2 alone, so
+// its submits are the only way into a block (node 2 pools them too, but
+// height 1 is node 1's to propose, and the round timeout outlasts the test,
+// so no round skip hands node 2 a turn). Commits must come from
+// capped-backoff retransmission — a lost submit was once silently gone and
+// the element never committed.
+TEST(OwnSubmitResubmission, LostSubmitWindowHealsByRetransmission) {
+  LoopbackCluster cl(runner::Algorithm::kVanilla);
   cl.cfg.retry_interval = sim::from_millis(300);
   cl.cfg.timeout_propose = sim::from_seconds(120);
   const TxSubmitCut* node2_transport = nullptr;
@@ -805,13 +765,6 @@ TEST_P(OwnSubmitResubmission, LostSubmitWindowHealsByRetransmission) {
   const auto safety = core::check_safety(cl.servers());
   EXPECT_TRUE(safety.ok()) << safety.to_string();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, OwnSubmitResubmission,
-                         ::testing::Values(runner::LedgerMode::kFixedSequencer,
-                                           runner::LedgerMode::kConsensus),
-                         [](const auto& info) {
-                           return std::string(runner::ledger_mode_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace setchain::net

@@ -1,11 +1,10 @@
-// Live-cluster conformance over the in-process loopback transport: four
-// NodeHosts (the exact stack a TCP daemon runs — wire codec, replicated
-// ledger, batch exchange, client RPC) on a shared discrete-event simulation,
-// driven through QuorumClient over RemoteNode stubs, checked against the
-// Setchain properties (P1-P8), the InstantLedger reference run (P9
-// live-vs-sim), and the quorum get/verify client protocol — plus
-// fault-injection reuse: the same sim::FaultInjector that rules on the
-// pointer network rules on loopback frames.
+// Live clusters over the in-process loopback transport: four NodeHosts (the
+// exact stack a TCP daemon runs — wire codec, consensus ledger, batch
+// exchange, client RPC) on a shared discrete-event simulation. The same
+// sim::FaultInjector that rules on the pointer network rules on loopback
+// frames: drop windows and partitions must heal through block sync. The
+// fault-free P1-P9 conformance run per algorithm is ConsensusClusterConformance
+// (consensus_cluster_test.cpp).
 #include "net/loopback.hpp"
 
 #include <gtest/gtest.h>
@@ -19,70 +18,10 @@ namespace {
 
 using namespace setchain::net::testing;
 
-class LoopbackClusterConformance
-    : public ::testing::TestWithParam<runner::Algorithm> {};
-
-// The tentpole validation: the P1-P9 conformance checks and the quorum
-// client protocol, against a 4-node cluster whose every interaction is a
-// decoded wire frame, with results matching the in-process sim reference.
-TEST_P(LoopbackClusterConformance, WireClusterMatchesSimReference) {
-  LoopbackCluster cl(GetParam());
-  cl.start();
-
-  const auto elements = make_workload(cl.cfg, 30, cl.pki);
-  std::vector<std::unique_ptr<RemoteNode>> stubs;
-  api::QuorumClient client = cl.client(stubs);
-
-  const auto accepted = drive(client, elements);
-  ASSERT_EQ(accepted.size(), elements.size());
-
-  // Drain: consolidation everywhere, then the proof traffic behind P8.
-  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }))
-      << "cluster never consolidated the workload";
-  ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }))
-      << "epoch-proof traffic never reached quiescence";
-
-  // P1-P9 against the InstantLedger reference run of the same workload.
-  const ReferenceRun reference = run_reference(cl.cfg, elements);
-  std::unordered_set<core::ElementId> created(accepted.begin(), accepted.end());
-  assert_cluster_matches_reference(cl.servers(), accepted, created,
-                                   cl.hosts[0]->params(), cl.hosts[0]->pki(),
-                                   reference,
-                                   runner::algorithm_name(GetParam()));
-
-  // Quorum client protocol over the wire: f+1-agreed view + commit check.
-  const auto view = client.get();
-  EXPECT_EQ(view.masked_nodes, 0u);
-  for (const auto id : accepted) {
-    EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
-  }
-  const auto verdict = client.verify(accepted.front());
-  EXPECT_TRUE(verdict.in_epoch);
-  EXPECT_TRUE(verdict.committed);
-  EXPECT_GE(verdict.valid_proofs, cl.cfg.f + 1);
-
-  // The cluster really ran on frames: ledger blocks were broadcast and (for
-  // hashchain) batches travelled the exchange.
-  EXPECT_GT(cl.hosts[0]->ledger().blocks_broadcast(), 0u);
-  std::uint64_t frames = 0;
-  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
-    frames += cl.hub.transport(i).counters().frames_received;
-  }
-  EXPECT_GT(frames, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LoopbackClusterConformance,
-                         ::testing::Values(runner::Algorithm::kVanilla,
-                                           runner::Algorithm::kCompresschain,
-                                           runner::Algorithm::kHashchain),
-                         [](const auto& info) {
-                           return std::string(runner::algorithm_name(info.param));
-                         });
-
 // Fault-injector reuse on the loopback transport: a one-way link drop window
-// between the sequencer and one replica loses block frames for real (the
-// injector counts them), and the sync pull heals the gap after the window —
-// the transport equivalent of the PR-4 fault scenarios.
+// from node 0 to node 2 loses consensus frames for real (the injector counts
+// them), and the sync pull heals the gap after the window — the transport
+// equivalent of the PR-4 fault scenarios.
 TEST(LoopbackClusterFaults, DirectedDropWindowHealsViaBlockSync) {
   LoopbackCluster cl(runner::Algorithm::kHashchain);
   sim::FaultPlan plan;
@@ -97,7 +36,8 @@ TEST(LoopbackClusterFaults, DirectedDropWindowHealsViaBlockSync) {
   const auto accepted = drive(client, elements);
   ASSERT_EQ(accepted.size(), elements.size());
 
-  // The victim link really dropped frames (blocks and/or sync responses).
+  // The victim link really dropped frames (proposals, votes and/or sync
+  // responses).
   ASSERT_NE(cl.hub.faults(), nullptr);
   EXPECT_TRUE(cl.pump_until(
       [&] { return cl.hub.faults()->stats().dropped_random > 0; }, 10))

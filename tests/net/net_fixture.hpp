@@ -186,7 +186,7 @@ inline std::vector<core::ElementId> drive(api::QuorumClient& client,
 }
 
 /// n NodeHosts — the exact stack a TCP daemon runs — on one LoopbackHub
-/// and one shared discrete-event simulation, under either ledger mode.
+/// and one shared discrete-event simulation.
 struct LoopbackCluster {
   NodeHostConfig cfg;
   sim::Simulation sim;
@@ -198,18 +198,17 @@ struct LoopbackCluster {
   /// `link_latency` is the one-way hop delay. Keep it at or under 1 ms:
   /// LoopbackRpcChannel pumps the simulation in 1 ms slices and the clock
   /// does not advance through an empty slice.
-  explicit LoopbackCluster(runner::Algorithm algo,
-                           runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer,
-                           std::uint64_t seed = 42, std::uint32_t n = 4,
+  explicit LoopbackCluster(runner::Algorithm algo, std::uint64_t seed = 42,
+                           std::uint32_t n = 4,
                            sim::Time link_latency = sim::from_micros(120))
-      : cfg(make_config(algo, mode, seed, n)), hub(sim, n, link_latency), pki(cfg.seed) {
+      : cfg(make_config(algo, seed, n)), hub(sim, n, link_latency), pki(cfg.seed) {
     for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
       pki.register_process(p);
     }
   }
 
-  static NodeHostConfig make_config(runner::Algorithm algo, runner::LedgerMode mode,
-                                    std::uint64_t seed, std::uint32_t n) {
+  static NodeHostConfig make_config(runner::Algorithm algo, std::uint64_t seed,
+                                    std::uint32_t n) {
     NodeHostConfig cfg;
     cfg.n = n;
     cfg.f = (n - 1) / 3;
@@ -219,12 +218,9 @@ struct LoopbackCluster {
     cfg.collector_timeout = sim::from_millis(200);
     cfg.block_interval = sim::from_millis(150);
     cfg.sync_interval = sim::from_millis(400);
-    cfg.ledger_mode = mode;
-    if (mode == runner::LedgerMode::kConsensus) {
-      // Rounds must skip past a dead proposer well inside the test budget.
-      cfg.timeout_propose = sim::from_millis(600);
-      cfg.retry_interval = sim::from_millis(200);
-    }
+    // Rounds must skip past a dead proposer well inside the test budget.
+    cfg.timeout_propose = sim::from_millis(600);
+    cfg.retry_interval = sim::from_millis(200);
     return cfg;
   }
 
@@ -238,10 +234,6 @@ struct LoopbackCluster {
       hosts.push_back(std::make_unique<NodeHost>(c, sim, t));
       hosts.back()->start();
     }
-  }
-
-  const ConsensusLedger* cons(std::uint32_t i) const {
-    return dynamic_cast<const ConsensusLedger*>(&hosts[i]->ledger());
   }
 
   api::QuorumClient client(std::vector<std::unique_ptr<RemoteNode>>& stubs) {

@@ -27,7 +27,6 @@ using namespace std::chrono_literals;
 
 struct DurableCluster {
   static NodeHostConfig make_config(runner::Algorithm algo,
-                                    runner::LedgerMode mode,
                                     std::uint64_t snapshot_epochs) {
     NodeHostConfig cfg;
     cfg.n = 4;
@@ -38,12 +37,9 @@ struct DurableCluster {
     cfg.collector_timeout = sim::from_millis(100);
     cfg.block_interval = sim::from_millis(80);
     cfg.sync_interval = sim::from_millis(200);
-    cfg.ledger_mode = mode;
     cfg.snapshot_epochs = snapshot_epochs;
-    if (mode == runner::LedgerMode::kConsensus) {
-      cfg.timeout_propose = sim::from_millis(800);
-      cfg.retry_interval = sim::from_millis(200);
-    }
+    cfg.timeout_propose = sim::from_millis(800);
+    cfg.retry_interval = sim::from_millis(200);
     return cfg;
   }
 
@@ -70,9 +66,8 @@ struct DurableCluster {
   bool stopped = false;
   crypto::Pki pki;
 
-  DurableCluster(runner::Algorithm algo, runner::LedgerMode mode,
-                 std::uint64_t snapshot_epochs)
-      : cfg(make_config(algo, mode, snapshot_epochs)), pki(cfg.seed) {
+  DurableCluster(runner::Algorithm algo, std::uint64_t snapshot_epochs)
+      : cfg(make_config(algo, snapshot_epochs)), pki(cfg.seed) {
     for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
       pki.register_process(p);
     }
@@ -257,13 +252,11 @@ bool view_covers(api::QuorumClient& client,
 }
 
 // Each node of a live cluster is killed (object graph destroyed) and
-// rebooted from its data directory in turn, mid-workload, sequencer
-// included. The cluster must end fully converged with the consolidated set
+// rebooted from its data directory in turn, mid-workload, every height's
+// proposer included. The cluster must end fully converged with the consolidated set
 // of a never-crashed reference run.
 TEST(RestartCluster, RollingRestartEveryNode) {
-  DurableCluster cl(runner::Algorithm::kHashchain,
-                    runner::LedgerMode::kFixedSequencer,
-                    /*snapshot_epochs=*/2);
+  DurableCluster cl(runner::Algorithm::kHashchain, /*snapshot_epochs=*/2);
   if (::testing::Test::HasFatalFailure()) return;
 
   const auto elements = make_workload(cl.cfg, 24, cl.pki);
@@ -341,9 +334,7 @@ TEST(RestartCluster, RollingRestartEveryNode) {
 // 1-epoch snapshot cadence, recovery must replay strictly fewer WAL blocks
 // than the chain height.
 TEST(RestartCluster, WholeQuorumRestart) {
-  DurableCluster cl(runner::Algorithm::kHashchain,
-                    runner::LedgerMode::kFixedSequencer,
-                    /*snapshot_epochs=*/1);
+  DurableCluster cl(runner::Algorithm::kHashchain, /*snapshot_epochs=*/1);
   if (::testing::Test::HasFatalFailure()) return;
 
   const auto elements = make_workload(cl.cfg, 24, cl.pki);
@@ -448,9 +439,7 @@ TEST(RestartCluster, WholeQuorumRestart) {
 // holds every batch its blocks announce: recover() must apply every block
 // and start no fetch.
 TEST(RestartCluster, WholeQuorumRestartFindsLoggedBatchesInTheWal) {
-  DurableCluster cl(runner::Algorithm::kHashchain,
-                    runner::LedgerMode::kFixedSequencer,
-                    /*snapshot_epochs=*/0);
+  DurableCluster cl(runner::Algorithm::kHashchain, /*snapshot_epochs=*/0);
   if (::testing::Test::HasFatalFailure()) return;
 
   const auto elements = make_workload(cl.cfg, 12, cl.pki);
@@ -492,13 +481,13 @@ TEST(RestartCluster, WholeQuorumRestartFindsLoggedBatchesInTheWal) {
       << "rebooted cluster lost the pre-kill workload";
 }
 
-// Consensus-mode durability: the voting ledger archives committed proposal
-// payloads; a whole-quorum restart must resume from the recovered height
-// and keep committing (round state is volatile by design — only committed
-// blocks persist).
-TEST(RestartCluster, ConsensusWholeQuorumRestart) {
-  DurableCluster cl(runner::Algorithm::kVanilla, runner::LedgerMode::kConsensus,
-                    /*snapshot_epochs=*/1);
+// WholeQuorumRestart for Vanilla, whose element bytes ride in the proposals
+// themselves: the ledger archives committed certified blocks; a
+// whole-quorum restart must resume from the recovered height and keep
+// committing (round state is volatile by design — only committed blocks
+// persist).
+TEST(RestartCluster, VanillaWholeQuorumRestart) {
+  DurableCluster cl(runner::Algorithm::kVanilla, /*snapshot_epochs=*/1);
   if (::testing::Test::HasFatalFailure()) return;
 
   const auto elements = make_workload(cl.cfg, 16, cl.pki);
@@ -554,44 +543,98 @@ TEST(RestartCluster, ConsensusWholeQuorumRestart) {
   std::unordered_set<core::ElementId> created(accepted.begin(), accepted.end());
   assert_cluster_matches_reference(cl.servers(), accepted, created,
                                    cl.hosts[0]->params(), cl.hosts[0]->pki(),
-                                   reference, "vanilla/consensus-restart");
+                                   reference, "vanilla/whole-quorum-restart");
 }
 
-// Byte-level pins of the two durable ledger formats, one per ledger mode,
-// on a deterministic loopback cluster whose nodes WAL-log every commit.
+// A data dir whose snapshot body this node cannot own is refused, never
+// reinterpreted: one written by the retired sequencer mode (mode byte 0),
+// one whose ledger-state blob is version 1 (the sequencer's layout), and
+// one written for another algorithm. recover() fails with its diagnostic
+// and nothing is restored.
+TEST(RestartCluster, RecoverRefusesForeignSnapshotBodies) {
+  const NodeHostConfig cfg =
+      DurableCluster::make_config(runner::Algorithm::kVanilla, /*snapshot_epochs=*/0);
+  const std::uint8_t vanilla = static_cast<std::uint8_t>(runner::Algorithm::kVanilla);
+  const std::uint8_t hashchain = static_cast<std::uint8_t>(runner::Algorithm::kHashchain);
+  // A well-formed ledger-state blob at height 5 with no committed txs.
+  const auto ledger_blob = [](std::uint8_t version) {
+    codec::Writer w;
+    w.u8(version).varint(5).varint(3).varint(0).varint(0);
+    if (version == 2) w.varint(0).varint(0).varint(0);
+    return w.take();
+  };
+  const auto body = [](std::uint8_t algorithm, std::uint8_t mode,
+                       const codec::Bytes& ledger_state) {
+    codec::Writer w;
+    w.u8(1).u8(algorithm).u8(mode).lp_bytes(ledger_state).lp_bytes(codec::Bytes{});
+    return w.take();
+  };
+  const std::string mismatch = "snapshot body: algorithm/ledger-mode mismatch with config";
+  const struct {
+    const char* label;
+    codec::Bytes body;
+    std::string error;
+  } cases[] = {
+      {"sequencer mode byte", body(vanilla, 0, ledger_blob(1)), mismatch},
+      {"version-1 ledger state", body(vanilla, 1, ledger_blob(1)),
+       "snapshot body: ledger state did not restore"},
+      {"other algorithm", body(hashchain, 1, ledger_blob(2)), mismatch},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.label);
+    char tmpl[] = "/tmp/setchain_refuse_XXXXXX";
+    const std::string dir = ::mkdtemp(tmpl);
+    storage::StorageConfig sc;
+    sc.dir = dir;
+    sc.fsync = storage::FsyncMode::kOff;
+    std::string err;
+    {
+      auto store = storage::Storage::open(sc, &err);
+      ASSERT_NE(store, nullptr) << err;
+      ASSERT_TRUE(store->write_snapshot(5, c.body));
+    }
+    auto store = storage::Storage::open(sc, &err);
+    ASSERT_NE(store, nullptr) << err;
+    sim::Simulation sim;
+    LoopbackHub hub(sim, cfg.n);
+    NodeHost host(cfg, sim, hub.transport(0), store.get());
+    err.clear();
+    EXPECT_FALSE(host.recover(&err));
+    EXPECT_EQ(err, c.error);
+    EXPECT_EQ(host.ledger().height(), 0u);
+    EXPECT_EQ(host.server().applied_height(), 0u);
+    EXPECT_EQ(host.server().epoch(), 0u);
+    const std::string cmd = "rm -rf '" + dir + "'";
+    (void)std::system(cmd.c_str());
+  }
+}
+
+// Byte-level pins of the two durable ledger formats on a deterministic
+// loopback cluster whose nodes WAL-log every commit.
 //
 //  * Ledger-state blob (snapshot body section, docs/STORAGE_FORMAT.md):
-//      u8 version (1 sequencer, 2 consensus), varint height, varint local
-//      submission ordinal, varint committed tx count, varint key count,
-//      then one lp_bytes 32-byte content key per committed tx;
-//    v2 appends varint equivocations, varint masked count + ids, varint
-//    evidence count + records — all zero in an honest run.
-//  * WAL block records: the sequencer mode logs the kBlock payload (every
-//    replica's record is byte-identical to the one the sequencer sealed and
-//    broadcast); the consensus mode logs the certified block (signed
-//    kProposal ‖ round ‖ precommit quorum, docs/WIRE_FORMAT.md). Either way
-//    the records re-encode to themselves and, in height order, carry
-//    exactly the node's committed transactions.
-class LedgerFormatPin : public ::testing::TestWithParam<runner::LedgerMode> {};
+//      u8 version (2), varint height, varint local submission ordinal,
+//      varint committed tx count, varint key count, then one lp_bytes
+//      32-byte content key per committed tx, then varint equivocations,
+//      varint masked count + ids, varint evidence count + records — all
+//      zero in an honest run.
+//  * WAL block records: the certified block (signed kProposal ‖ round ‖
+//    precommit quorum, docs/WIRE_FORMAT.md). The records re-encode to
+//    themselves and, in height order, carry exactly the node's committed
+//    transactions.
 
-/// The txs of one durable block payload: a certified block in consensus
-/// mode, a kBlock payload in sequencer mode. Empty when it does not parse.
-std::vector<ledger::Transaction> payload_txs(codec::ByteView payload, bool consensus) {
-  if (!consensus) {
-    auto m = wire::parse_block(payload);
-    return m ? std::move(m->txs) : std::vector<ledger::Transaction>{};
-  }
+/// The txs of one durable block payload, a certified block. Empty when it
+/// does not parse.
+std::vector<ledger::Transaction> payload_txs(codec::ByteView payload) {
   const auto cert = wire::parse_certified_block(payload);
   if (!cert) return {};
   auto prop = wire::parse_proposal(cert->proposal);
   return prop ? std::move(prop->block.txs) : std::vector<ledger::Transaction>{};
 }
 
-TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
-  const runner::LedgerMode mode = GetParam();
-  const bool consensus = mode == runner::LedgerMode::kConsensus;
-  const NodeHostConfig cfg = DurableCluster::make_config(
-      runner::Algorithm::kVanilla, mode, /*snapshot_epochs=*/0);
+TEST(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
+  const NodeHostConfig cfg =
+      DurableCluster::make_config(runner::Algorithm::kVanilla, /*snapshot_epochs=*/0);
   char tmpl[] = "/tmp/setchain_pin_XXXXXX";
   const std::string root = ::mkdtemp(tmpl);
   const auto node_dir = [&root](std::uint32_t i) {
@@ -624,7 +667,7 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
     hosts.back()->ledger().set_commit_hook(
         [&, i, store = stores.back().get()](std::uint64_t height, codec::ByteView raw) {
           store->append_block(height, raw);
-          for (const ledger::Transaction& tx : payload_txs(raw, consensus)) {
+          for (const ledger::Transaction& tx : payload_txs(raw)) {
             if (committed_keys[i].insert(tx_dedup_key(tx)).second) {
               committed_data[i].push_back(tx.data);
             }
@@ -671,10 +714,9 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   sim.run_until(sim.now() + sim::from_seconds(2));
   ASSERT_TRUE(settled());
 
-  std::vector<std::vector<codec::Bytes>> records(cfg.n);
   for (std::uint32_t i = 0; i < cfg.n; ++i) {
     SCOPED_TRACE("node " + std::to_string(i));
-    const IWireLedger& ledger = hosts[i]->ledger();
+    const ConsensusLedger& ledger = hosts[i]->ledger();
     const std::uint64_t chain_height = ledger.height();
     ASSERT_GT(chain_height, 0u);
     const std::vector<codec::Bytes>& committed = committed_data[i];
@@ -683,7 +725,7 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
     codec::Writer w;
     ledger.serialize_state(w);
     codec::Reader r{codec::ByteView(w.buffer())};
-    EXPECT_EQ(r.u8(), std::optional<std::uint8_t>(consensus ? 2 : 1));
+    EXPECT_EQ(r.u8(), std::optional<std::uint8_t>(2));
     EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(chain_height));
     const auto ordinal = r.varint();
     ASSERT_TRUE(ordinal.has_value());
@@ -698,11 +740,9 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
       ASSERT_EQ(key->size(), 32u);
       EXPECT_EQ(expected_keys.erase(std::string(key->begin(), key->end())), 1u);
     }
-    if (consensus) {
-      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // equivocations
-      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // masked ids
-      EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // evidence records
-    }
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // equivocations
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // masked ids
+    EXPECT_EQ(r.varint(), std::optional<std::uint64_t>(0));  // evidence records
     EXPECT_TRUE(r.done()) << r.remaining() << " trailing bytes";
 
     // WAL block records, read back from disk after the node is torn down.
@@ -725,53 +765,29 @@ TEST_P(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
                                   codec::ByteView payload) {
       if (kind != storage::WalRecordKind::kBlock) return;
       EXPECT_EQ(height, next_height++);
-      records[i].emplace_back(payload.begin(), payload.end());
-      if (consensus) {
-        const auto cert = wire::parse_certified_block(payload);
-        ASSERT_TRUE(cert.has_value());
-        EXPECT_GE(cert->votes.size(), 2 * cfg.f + 1);
-        EXPECT_EQ(wire::encode_certified_block(cert->proposal, cert->round, cert->votes),
-                  records[i].back());
-        const auto prop = wire::parse_proposal(cert->proposal);
-        ASSERT_TRUE(prop.has_value());
-        ASSERT_EQ(prop->block.height, height);
-        const codec::ByteView block =
-            codec::ByteView(cert->proposal).first(prop->block_bytes_len);
-        EXPECT_EQ(wire::encode_signed_proposal(block, prop->sig), cert->proposal);
-        std::vector<const ledger::Transaction*> txs;
-        for (const auto& tx : prop->block.txs) txs.push_back(&tx);
-        EXPECT_EQ(wire::encode_block(height, prop->block.proposer, txs),
-                  codec::Bytes(block.begin(), block.end()));
-        check_txs(prop->block.txs);
-        return;
-      }
-      const auto m = wire::parse_block(payload);
-      ASSERT_TRUE(m.has_value());
-      ASSERT_EQ(m->height, height);
+      const auto cert = wire::parse_certified_block(payload);
+      ASSERT_TRUE(cert.has_value());
+      EXPECT_GE(cert->votes.size(), 2 * cfg.f + 1);
+      EXPECT_EQ(wire::encode_certified_block(cert->proposal, cert->round, cert->votes),
+                codec::Bytes(payload.begin(), payload.end()));
+      const auto prop = wire::parse_proposal(cert->proposal);
+      ASSERT_TRUE(prop.has_value());
+      ASSERT_EQ(prop->block.height, height);
+      const codec::ByteView block =
+          codec::ByteView(cert->proposal).first(prop->block_bytes_len);
+      EXPECT_EQ(wire::encode_signed_proposal(block, prop->sig), cert->proposal);
       std::vector<const ledger::Transaction*> txs;
-      for (const auto& tx : m->txs) txs.push_back(&tx);
-      EXPECT_EQ(wire::encode_block(height, m->proposer, txs), records[i].back());
-      check_txs(m->txs);
+      for (const auto& tx : prop->block.txs) txs.push_back(&tx);
+      EXPECT_EQ(wire::encode_block(height, prop->block.proposer, txs),
+                codec::Bytes(block.begin(), block.end()));
+      check_txs(prop->block.txs);
     }));
     EXPECT_EQ(next_height, chain_height + 1);
     EXPECT_EQ(next_tx, committed.size());
   }
-  if (!consensus) {
-    // Replicas log the kBlock frames the sequencer broadcast, verbatim.
-    for (std::uint32_t i = 1; i < cfg.n; ++i) {
-      EXPECT_EQ(records[i], records[0]) << "node " << i;
-    }
-  }
   const std::string cmd = "rm -rf '" + root + "'";
   (void)std::system(cmd.c_str());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, LedgerFormatPin,
-                         ::testing::Values(runner::LedgerMode::kFixedSequencer,
-                                           runner::LedgerMode::kConsensus),
-                         [](const auto& info) {
-                           return std::string(runner::ledger_mode_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace setchain::net

@@ -22,8 +22,7 @@ using namespace setchain::net::testing;
 using namespace std::chrono_literals;
 
 struct Cluster {
-  static NodeHostConfig make_config(runner::Algorithm algo,
-                                    runner::LedgerMode mode) {
+  static NodeHostConfig make_config(runner::Algorithm algo) {
     NodeHostConfig cfg;
     cfg.n = 4;
     cfg.f = 1;
@@ -33,12 +32,9 @@ struct Cluster {
     cfg.collector_timeout = sim::from_millis(100);
     cfg.block_interval = sim::from_millis(80);
     cfg.sync_interval = sim::from_millis(200);
-    cfg.ledger_mode = mode;
-    if (mode == runner::LedgerMode::kConsensus) {
-      // Real-time test: rounds must skip a dead proposer within seconds.
-      cfg.timeout_propose = sim::from_millis(800);
-      cfg.retry_interval = sim::from_millis(200);
-    }
+    // Real-time test: rounds must skip a dead proposer within seconds.
+    cfg.timeout_propose = sim::from_millis(800);
+    cfg.retry_interval = sim::from_millis(200);
     return cfg;
   }
 
@@ -54,10 +50,8 @@ struct Cluster {
   crypto::Pki pki;
 
   /// `wrap` (optional) puts a decorator in front of a node's TcpTransport.
-  explicit Cluster(runner::Algorithm algo,
-                   runner::LedgerMode mode = runner::LedgerMode::kFixedSequencer,
-                   const TransportWrapper& wrap = {})
-      : cfg(make_config(algo, mode)), pki(cfg.seed) {
+  explicit Cluster(runner::Algorithm algo, const TransportWrapper& wrap = {})
+      : cfg(make_config(algo)), pki(cfg.seed) {
     for (crypto::ProcessId p = 0; p < cfg.n + cfg.client_slots; ++p) {
       pki.register_process(p);
     }
@@ -149,10 +143,8 @@ struct Cluster {
   }
 };
 
-void run_tcp_conformance(runner::Algorithm algo,
-                         runner::LedgerMode mode =
-                             runner::LedgerMode::kFixedSequencer) {
-  Cluster cl(algo, mode);
+void run_tcp_conformance(runner::Algorithm algo) {
+  Cluster cl(algo);
   cl.start();
 
   std::vector<std::unique_ptr<RemoteNode>> stubs;
@@ -219,19 +211,12 @@ TEST(TcpCluster, VanillaConformanceEndToEnd) {
   run_tcp_conformance(runner::Algorithm::kVanilla);
 }
 
-// The full wire path with --ledger consensus: real sockets, voting ledger,
-// same P1-P9 verdicts as the sim reference.
-TEST(TcpCluster, ConsensusConformanceEndToEnd) {
-  run_tcp_conformance(runner::Algorithm::kHashchain,
-                      runner::LedgerMode::kConsensus);
-}
-
 // The acceptance scenario on real sockets: a consensus cluster keeps
 // committing after the round-0 proposer (node 1 = proposer_for(1,0)) is
-// killed mid-workload — the exact run that stalls forever under the fixed
-// sequencer when its node dies.
+// killed mid-workload — the run that would stall forever if one fixed node
+// ordered every block.
 TEST(TcpCluster, ConsensusSurvivesProposerKill) {
-  Cluster cl(runner::Algorithm::kVanilla, runner::LedgerMode::kConsensus);
+  Cluster cl(runner::Algorithm::kVanilla);
   cl.start();
 
   std::vector<std::unique_ptr<RemoteNode>> stubs;
@@ -320,8 +305,7 @@ TEST(TcpCluster, ConsensusSurvivesProposerKill) {
 // verification, the impersonated vote dies at the identity gate — and a
 // QuorumClient still commits every element.
 TEST(TcpCluster, ByzantineNodeIsMaskedOverSockets) {
-  Cluster cl(runner::Algorithm::kVanilla, runner::LedgerMode::kConsensus,
-             byzantine_node(1));
+  Cluster cl(runner::Algorithm::kVanilla, byzantine_node(1));
   cl.start();
 
   std::vector<std::unique_ptr<RemoteNode>> stubs;
@@ -355,11 +339,10 @@ TEST(TcpCluster, ByzantineNodeIsMaskedOverSockets) {
   std::uint64_t sig_rejects = 0;
   std::uint64_t bad = 0;
   for (const std::uint32_t i : {0u, 2u, 3u}) {
-    const auto* c = dynamic_cast<const ConsensusLedger*>(&cl.hosts[i]->ledger());
-    ASSERT_NE(c, nullptr);
-    EXPECT_TRUE(c->masked(1)) << "honest node " << i << " never masked node 1";
-    EXPECT_FALSE(c->masked(i)) << "honest node " << i << " masked itself";
-    sig_rejects += c->vote_sig_rejects();
+    const ConsensusLedger& c = cl.hosts[i]->ledger();
+    EXPECT_TRUE(c.masked(1)) << "honest node " << i << " never masked node 1";
+    EXPECT_FALSE(c.masked(i)) << "honest node " << i << " masked itself";
+    sig_rejects += c.vote_sig_rejects();
     bad += cl.hosts[i]->bad_frames();
   }
   EXPECT_GT(sig_rejects, 0u) << "the garbage-signature forgery was never rejected";

@@ -486,14 +486,12 @@ TEST(WirePayloads, CertifiedBlockRoundTripAndVoterOrdering) {
                    .has_value());
 }
 
-TEST(WirePayloads, ClusterIdSeparatesLedgerModes) {
-  const auto base = cluster_id(42, 4, 1, 2);
-  // Mode 0 (fixed sequencer) is the default and must not disturb ids minted
-  // before the mode byte existed — old daemons and new ones interoperate.
-  EXPECT_EQ(cluster_id(42, 4, 1, 2, 0), base);
-  // Consensus-mode clusters must never handshake with sequencer-mode ones.
-  EXPECT_NE(cluster_id(42, 4, 1, 2, 1), base);
-  EXPECT_NE(cluster_id(42, 4, 1, 2, 1), cluster_id(42, 4, 1, 2, 2));
+TEST(WirePayloads, ClusterIdIsPinned) {
+  // Literal consensus-cluster ids: a daemon or data dir minted by an older
+  // binary must keep handshaking with, and recovering into, this one.
+  EXPECT_EQ(cluster_id(42, 4, 1, 2), 0x6a9ced9e3a07b7daULL);     // hashchain
+  EXPECT_EQ(cluster_id(7, 7, 2, 0), 0x1c01a429efc50043ULL);      // vanilla
+  EXPECT_EQ(cluster_id(1234, 10, 3, 1), 0xe1a413eb2ac7a3aeULL);  // compresschain
 }
 
 // Property sweep: every payload parser must reject (a) any strict prefix

@@ -115,7 +115,6 @@ struct LiveRollup {
     cfg.n = 4;
     cfg.f = 1;
     cfg.algorithm = runner::Algorithm::kHashchain;
-    cfg.ledger_mode = runner::LedgerMode::kFixedSequencer;
     cfg.seed = 42;
     cfg.collector_limit = 64;
     cfg.collector_timeout = sim::from_millis(50);

@@ -8,7 +8,7 @@
 //
 //   # 2000 open-loop rollup clients against a self-booted 4-node consensus
 //   # cluster, 20 s at 1500 adds/s, JSON trajectory to BENCH_load.json:
-//   ./setchain_loadgen --workload rollup --ledger consensus --sessions 2000
+//   ./setchain_loadgen --workload rollup --sessions 2000
 //       --rate 1500 --duration-s 20 --json BENCH_load.json --check
 //
 //   # Rate curve (one phase per rate, each --duration-s long):
@@ -55,7 +55,6 @@ struct Options {
   load::ArrivalKind arrival = load::ArrivalKind::kPoisson;
   std::string workload = "kv";
   runner::Algorithm algo = runner::Algorithm::kHashchain;
-  runner::LedgerMode ledger = runner::LedgerMode::kFixedSequencer;
   std::uint64_t seed = 42;
   std::uint32_t fraud_window = 64;
   bool dishonest = false;
@@ -87,7 +86,7 @@ int usage(const char* argv0) {
       "usage: %s [--nodes N | --node host:port ...] [--sessions S]\n"
       "  [--window W] [--rate R | --rates r1,r2,...]\n"
       "  [--arrival poisson|uniform|burst] [--duration-s D] [--workload kv|rollup]\n"
-      "  [--algo vanilla|compresschain|hashchain] [--ledger sequencer|consensus]\n"
+      "  [--algo vanilla|compresschain|hashchain]\n"
       "  [--seed N] [--fraud-window E] [--dishonest-operator] [--settle-s S]\n"
       "  [--json PATH] [--check] [--smoke]\n",
       argv0);
@@ -139,10 +138,6 @@ int main(int argc, char** argv) {
       const auto algo = runner::parse_algorithm(next());
       if (!algo) return usage(argv[0]);
       opt.algo = *algo;
-    } else if (a == "--ledger") {
-      const auto m = runner::parse_ledger_mode(next());
-      if (!m) return usage(argv[0]);
-      opt.ledger = *m;
     } else if (a == "--seed") opt.seed = std::stoull(next());
     else if (a == "--fraud-window") opt.fraud_window = static_cast<std::uint32_t>(std::stoul(next()));
     else if (a == "--dishonest-operator") opt.dishonest = true;
@@ -174,7 +169,6 @@ int main(int argc, char** argv) {
   ncfg.n = n;
   ncfg.f = (n - 1) / 3;
   ncfg.algorithm = opt.algo;
-  ncfg.ledger_mode = opt.ledger;
   ncfg.seed = opt.seed;
   ncfg.collector_limit = 64;
   ncfg.collector_timeout = sim::from_millis(50);
@@ -320,7 +314,6 @@ int main(int argc, char** argv) {
   w.kv("workload", opt.workload);
   w.kv("arrival", load::arrival_kind_name(opt.arrival));
   w.kv("algo", runner::algorithm_name(opt.algo));
-  w.kv("ledger", runner::ledger_mode_name(opt.ledger));
   w.kv("seed", opt.seed);
   w.kv("duration_s_per_phase", opt.duration_s);
   w.key("rates");

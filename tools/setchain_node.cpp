@@ -1,7 +1,7 @@
 // setchain_node — one live Setchain server process.
 //
 // Hosts a full-fidelity Setchain node (vanilla / compresschain / hashchain)
-// behind a TCP transport: the replicated ledger, the Hashchain batch
+// behind a TCP transport: the consensus ledger, the Hashchain batch
 // exchange, and the client RPC service all speak the length-prefixed wire
 // protocol of docs/WIRE_FORMAT.md. Spawn n of these (one per --id) with the
 // same --seed/--n/--f/--algo and the full --peer list, then point clients
@@ -32,24 +32,23 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s --id I --n N --listen HOST:PORT --peer HOST:PORT [xN, id order]\n"
       "          [--f F] [--algo vanilla|compresschain|hashchain] [--seed S]\n"
-      "          [--ledger sequencer|consensus] [--timeout-propose-ms T]\n"
+      "          [--timeout-propose-ms T]\n"
       "          [--collector K] [--collector-timeout-ms T] [--block-interval-ms B]\n"
       "          [--clients C] [--quiet]\n"
       "          [--data-dir DIR] [--fsync always|interval|off]\n"
       "          [--snapshot-epochs E] [--byz-consensus]\n"
       "\n"
-      "Every daemon (and client) of one cluster must share --seed, --n, --f,\n"
-      "--algo and --ledger: the PKI keys and the cluster id derive from them.\n"
-      "--ledger consensus replaces the fixed sequencer with wire-level\n"
-      "consensus: the cluster keeps committing with any f nodes crashed.\n"
+      "Every daemon (and client) of one cluster must share --seed, --n, --f\n"
+      "and --algo: the PKI keys and the cluster id derive from them. Blocks\n"
+      "are ordered by wire-level consensus: the cluster keeps committing\n"
+      "with any f nodes crashed.\n"
       "--data-dir makes the node durable: committed blocks are WAL-logged\n"
       "there, snapshots compact the log every E epochs (default 8), and a\n"
       "restart recovers the node's state from disk before it rejoins.\n"
-      "--byz-consensus (TEST ONLY, needs --ledger consensus) wraps this\n"
-      "node's TCP transport in the Byzantine adversary: its honest ledger's\n"
-      "outbound frames are rewritten into equivocating proposals, double\n"
-      "votes, forged votes and junk sync — honest peers must mask it and\n"
-      "stay live.\n",
+      "--byz-consensus (TEST ONLY) wraps this node's TCP transport in the\n"
+      "Byzantine adversary: its honest ledger's outbound frames are\n"
+      "rewritten into equivocating proposals, double votes, forged votes\n"
+      "and junk sync — honest peers must mask it and stay live.\n",
       argv0);
 }
 
@@ -93,13 +92,6 @@ int main(int argc, char** argv) {
       cfg.algorithm = *a;
     } else if (arg == "--seed") {
       cfg.seed = std::strtoull(need_value(i), nullptr, 10);
-    } else if (arg == "--ledger") {
-      const auto m = runner::parse_ledger_mode(need_value(i));
-      if (!m) {
-        usage(argv[0]);
-        return 2;
-      }
-      cfg.ledger_mode = *m;
     } else if (arg == "--timeout-propose-ms") {
       cfg.timeout_propose = sim::from_millis(std::atof(need_value(i)));
     } else if (arg == "--listen") {
@@ -150,12 +142,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (listen.empty()) listen = peers[cfg.id];
-  if (byz_consensus && cfg.ledger_mode != runner::LedgerMode::kConsensus) {
-    std::fprintf(stderr,
-                 "setchain_node: --byz-consensus needs --ledger consensus "
-                 "(the adversary attacks consensus frames only)\n");
-    return 2;
-  }
 
   net::TcpConfig tcp;
   tcp.self = cfg.id;
@@ -216,9 +202,8 @@ int main(int argc, char** argv) {
     if (!quiet) {
       std::fprintf(
           stderr,
-          "setchain_node[%u/%u] %s/%s listening on %s:%u (cluster %016llx)\n",
-          cfg.id, cfg.n, runner::algorithm_name(cfg.algorithm),
-          runner::ledger_mode_name(cfg.ledger_mode), tcp.listen_host.c_str(),
+          "setchain_node[%u/%u] %s listening on %s:%u (cluster %016llx)\n",
+          cfg.id, cfg.n, runner::algorithm_name(cfg.algorithm), tcp.listen_host.c_str(),
           transport.listen_port(), static_cast<unsigned long long>(tcp.cluster));
     }
     host.run_realtime(g_stop);
@@ -246,24 +231,20 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(c.decode_errors),
           static_cast<unsigned long long>(c.reconnects),
           static_cast<unsigned long long>(c.send_queue_peak));
-      if (const auto* cons =
-              dynamic_cast<const net::ConsensusLedger*>(&host.ledger())) {
-        std::fprintf(
-            stderr,
-            "setchain_node[%u] consensus: equivocations=%llu masked=%u "
-            "vote_sig_rejects=%llu cert_rejects=%llu votes_buffered=%llu "
-            "votes_dropped_ahead=%llu proposals_buffered=%llu "
-            "proposals_dropped_ahead=%llu\n",
-            cfg.id,
-            static_cast<unsigned long long>(cons->equivocations_detected()),
-            cons->masked_count(),
-            static_cast<unsigned long long>(cons->vote_sig_rejects()),
-            static_cast<unsigned long long>(cons->cert_rejects()),
-            static_cast<unsigned long long>(cons->votes_buffered()),
-            static_cast<unsigned long long>(cons->votes_dropped_ahead()),
-            static_cast<unsigned long long>(cons->proposals_buffered()),
-            static_cast<unsigned long long>(cons->proposals_dropped_ahead()));
-      }
+      const net::ConsensusLedger& cons = host.ledger();
+      std::fprintf(
+          stderr,
+          "setchain_node[%u] consensus: equivocations=%llu masked=%u "
+          "vote_sig_rejects=%llu cert_rejects=%llu votes_buffered=%llu "
+          "votes_dropped_ahead=%llu proposals_buffered=%llu "
+          "proposals_dropped_ahead=%llu\n",
+          cfg.id, static_cast<unsigned long long>(cons.equivocations_detected()),
+          cons.masked_count(), static_cast<unsigned long long>(cons.vote_sig_rejects()),
+          static_cast<unsigned long long>(cons.cert_rejects()),
+          static_cast<unsigned long long>(cons.votes_buffered()),
+          static_cast<unsigned long long>(cons.votes_dropped_ahead()),
+          static_cast<unsigned long long>(cons.proposals_buffered()),
+          static_cast<unsigned long long>(cons.proposals_dropped_ahead()));
       if (store != nullptr) {
         const auto& w = store->wal_counters();
         std::fprintf(
