@@ -155,8 +155,9 @@ bool Ed25519::verify(const PublicKey& pub, codec::ByteView message, const Signat
 
   const auto a_pt = Ge::decompress(codec::ByteView(pub.data(), pub.size()));
   if (!a_pt) return false;
-  const auto r_pt = Ge::decompress(r_bytes);
-  if (!r_pt) return false;
+  // R is not decompressed: the recomputed point below is compared with R's
+  // bytes, and a compressed point is always a canonical encoding of a curve
+  // point, so that comparison rejects every R that is not one.
 
   Sha512 k_hash;
   k_hash.update(r_bytes);
@@ -180,20 +181,27 @@ namespace {
 /// decompressed and scalars derived once per batch, reused by every
 /// sub-check.
 struct PreparedEntry {
-  Ge neg_a;   ///< -A
-  Ge neg_r;   ///< -R
-  U256 s;     ///< signature scalar
-  U256 k;     ///< H(R || A || M) mod L
+  Ge neg_r;             ///< -R
+  U256 s;               ///< signature scalar
+  U256 k;               ///< H(R || A || M) mod L
+  std::size_t key = 0;  ///< index of -A in PreparedBatch::neg_keys
   bool pre_ok = false;
 };
 
-/// Decompressed (and negated) public keys, shared across the batch: Setchain
-/// blocks carry many signatures from a bounded signer set (n servers, a
-/// recurring client population), so each distinct key pays its two field
-/// exponentiations once per batch instead of once per signature.
-using PubCache = std::map<Ed25519::PublicKey, std::optional<Ge>>;
+struct PreparedBatch {
+  std::vector<PreparedEntry> entries;
+  std::vector<Ge> neg_keys;  ///< -A, once per distinct decompressible key
+};
 
-PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
+/// Index into PreparedBatch::neg_keys per public key (nullopt: not a curve
+/// point). Setchain blocks carry many signatures from a bounded signer set
+/// (n servers sign every vote, proof and hash batch; each client signs many
+/// elements), so each distinct key pays its decompression once per batch,
+/// and the combined check folds its terms into one.
+using PubCache = std::map<Ed25519::PublicKey, std::optional<std::size_t>>;
+
+PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache,
+                            std::vector<Ge>& neg_keys) {
   PreparedEntry out;
   const codec::ByteView r_bytes(e.sig->data(), 32);
   out.s = U256::from_bytes_le(codec::ByteView(e.sig->data() + 32, 32));
@@ -202,7 +210,10 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
   auto [cached, inserted] = pub_cache.try_emplace(*e.pub);
   if (inserted) {
     const auto a_pt = Ge::decompress(codec::ByteView(e.pub->data(), e.pub->size()));
-    if (a_pt) cached->second = a_pt->negate();
+    if (a_pt) {
+      cached->second = neg_keys.size();
+      neg_keys.push_back(a_pt->negate());
+    }
   }
   if (!cached->second) return out;  // key not a curve point
   const auto r_pt = Ge::decompress(r_bytes);
@@ -222,14 +233,34 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
   k_hash.update(codec::ByteView(e.pub->data(), e.pub->size()));
   k_hash.update(e.message);
   out.k = scalar_from_hash512(k_hash.finalize());
-  out.neg_a = *cached->second;
+  out.key = *cached->second;
   out.neg_r = r_pt->negate();
   out.pre_ok = true;
   return out;
 }
 
+/// 8L, the order of the whole curve group (cofactor 8 times the prime L).
+const U256& order_8l() {
+  static const U256 k8L = order_l().shl(3);
+  return k8L;
+}
+
+/// acc = (acc + x) mod 8L for acc, x < 8L. The sum can carry past 2^256;
+/// subtracting 8L modulo 2^256 then still lands on the right value.
+void add_mod_8l(U256& acc, const U256& x) {
+  const bool carry = acc.add_in_place(x) != 0;
+  if (carry || acc >= order_8l()) acc.sub_in_place(order_8l());
+}
+
 /// Combined random-linear-combination check over a subset of the batch:
-///   (sum z_i*S_i)*B + sum z_i*(-R_i) + sum (z_i*k_i)*(-A_i) == identity.
+///   (sum z_i*S_i)*B + sum z_i*(-R_i) + sum_A (sum_{i: A_i = A} z_i*k_i)*(-A)
+///     == identity.
+/// The -A terms of one key are folded into one: their scalars (each
+/// z_i*k_i mod L) are summed mod 8L, and since 8L*P is the identity for
+/// every curve point P, the folded term is exactly the sum of the separate
+/// ones, even for a key with a small-order component (summing mod L would
+/// not be). So the check sees the same group element, and a key's many
+/// entries cost one scalar multiplication instead of one each.
 /// The z_i are 128-bit scalars derived from a SHA-512 transcript of the
 /// subset's full (R, S, A, message) tuples, keyed per entry by its index
 /// within the subset — deterministic, so the same batch always produces the
@@ -238,8 +269,7 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
 /// doctor two valid signatures as S1+z2 / S2-z1, preserving sum z_i*S_i
 /// while making both individually invalid.
 bool combined_check(std::span<const Ed25519::BatchEntry> entries,
-                    const std::vector<PreparedEntry>& prepared,
-                    const std::vector<std::size_t>& subset) {
+                    const PreparedBatch& prepared, const std::vector<std::size_t>& subset) {
   Sha512 transcript;
   transcript.update(codec::to_bytes("setchain.ed25519.batch.v1"));
   codec::Bytes count;
@@ -257,10 +287,11 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
   const auto seed = transcript.finalize();
 
   U256 base_scalar = U256::zero();
+  std::vector<U256> key_scalars(prepared.neg_keys.size(), U256::zero());
   std::vector<Ge::ScalarPoint> terms;
-  terms.reserve(2 * subset.size());
+  terms.reserve(subset.size() + key_scalars.size());
   for (std::size_t j = 0; j < subset.size(); ++j) {
-    const PreparedEntry& p = prepared[subset[j]];
+    const PreparedEntry& p = prepared.entries[subset[j]];
     Sha512 zh;
     zh.update(codec::ByteView(seed.data(), seed.size()));
     codec::Bytes idx;
@@ -274,7 +305,11 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
 
     base_scalar = mul_add_mod_l(z, p.s, base_scalar);
     terms.push_back(Ge::ScalarPoint{z, p.neg_r});
-    terms.push_back(Ge::ScalarPoint{mul_add_mod_l(z, p.k, U256::zero()), p.neg_a});
+    add_mod_8l(key_scalars[p.key], mul_add_mod_l(z, p.k, U256::zero()));
+  }
+  // Keys outside the subset keep a zero scalar, which the MSM skips.
+  for (std::size_t a = 0; a < key_scalars.size(); ++a) {
+    terms.push_back(Ge::ScalarPoint{key_scalars[a], prepared.neg_keys[a]});
   }
   return Ge::multi_scalar_mul(base_scalar, terms).is_identity();
 }
@@ -283,8 +318,8 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
 /// pinned down by scalar verification, which keeps the result exactly equal
 /// to per-signature `verify` even in the (negligible-probability) corner
 /// cases a random combination could mask.
-void bisect(std::span<const Ed25519::BatchEntry> entries,
-            const std::vector<PreparedEntry>& prepared, std::vector<std::size_t> subset,
+void bisect(std::span<const Ed25519::BatchEntry> entries, const PreparedBatch& prepared,
+            std::vector<std::size_t> subset,
             std::vector<bool>& valid) {
   if (subset.empty()) return;
   if (subset.size() == 1) {
@@ -315,14 +350,14 @@ void verify_shard(std::span<const Ed25519::BatchEntry> entries,
     return;
   }
 
-  std::vector<PreparedEntry> prepared;
-  prepared.reserve(entries.size());
+  PreparedBatch prepared;
+  prepared.entries.reserve(entries.size());
   std::vector<std::size_t> candidates;
   candidates.reserve(entries.size());
   PubCache pub_cache;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    prepared.push_back(prepare_entry(entries[i], pub_cache));
-    if (prepared.back().pre_ok) candidates.push_back(i);
+    prepared.entries.push_back(prepare_entry(entries[i], pub_cache, prepared.neg_keys));
+    if (prepared.entries.back().pre_ok) candidates.push_back(i);
   }
 
   // One combined check when everything is fine; bisection (inside `bisect`)

@@ -47,7 +47,8 @@ struct Ed25519 {
   /// Batch verification via a random linear combination: checks
   ///   (sum z_i*S_i)*B == sum z_i*R_i + sum z_i*k_i*A_i
   /// with ONE interleaved multi-scalar multiplication, amortizing the
-  /// doubling chain across the whole batch. The per-entry randomizers z_i
+  /// doubling chain across the whole batch; the k_i*A_i terms of entries
+  /// signed by one key are folded into a single term. The per-entry randomizers z_i
   /// are derived deterministically from a SHA-512 transcript of all
   /// (R, S, A, message) tuples — the full signatures, so no part of the
   /// batch can be chosen after the randomizers; no wall-clock randomness,

@@ -106,75 +106,100 @@ Fe operator-(const Fe& a, const Fe& b) {
   return r;
 }
 
-Fe operator*(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
-  const std::uint64_t f0 = a.v[0], f1 = a.v[1], f2 = a.v[2], f3 = a.v[3], f4 = a.v[4];
-  const std::uint64_t g0 = b.v[0], g1 = b.v[1], g2 = b.v[2], g3 = b.v[3], g4 = b.v[4];
+namespace {
 
-  const u128 r0 = (u128)f0 * g0 +
-                  (u128)19 * ((u128)f1 * g4 + (u128)f2 * g3 + (u128)f3 * g2 + (u128)f4 * g1);
-  const u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 +
-                  (u128)19 * ((u128)f2 * g4 + (u128)f3 * g3 + (u128)f4 * g2);
-  const u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
-                  (u128)19 * ((u128)f3 * g4 + (u128)f4 * g3);
-  const u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 +
-                  (u128)19 * ((u128)f4 * g4);
-  const u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 +
-                  (u128)f4 * g0;
+using u128 = unsigned __int128;
 
+/// Carry the five 128-bit column sums of a product down to limbs below
+/// 2^51 + 2^9. Input limbs are below 2^52, so column sums stay under 2^111
+/// and every carry fits 64 bits; the top column holds no x19 terms, so its
+/// carry times 19 stays under 2^60.
+inline Fe carry_product(u128 r0, u128 r1, u128 r2, u128 r3, u128 r4) {
   Fe out;
-  u128 c;
-  u128 t0 = r0, t1 = r1, t2 = r2, t3 = r3, t4 = r4;
-  c = t0 >> 51; t0 &= kMask; t1 += c;
-  c = t1 >> 51; t1 &= kMask; t2 += c;
-  c = t2 >> 51; t2 &= kMask; t3 += c;
-  c = t3 >> 51; t3 &= kMask; t4 += c;
-  c = t4 >> 51; t4 &= kMask; t0 += c * 19;
-  c = t0 >> 51; t0 &= kMask; t1 += c;
-
-  out.v[0] = static_cast<std::uint64_t>(t0);
-  out.v[1] = static_cast<std::uint64_t>(t1);
-  out.v[2] = static_cast<std::uint64_t>(t2);
-  out.v[3] = static_cast<std::uint64_t>(t3);
-  out.v[4] = static_cast<std::uint64_t>(t4);
+  r1 += static_cast<std::uint64_t>(r0 >> 51);
+  r2 += static_cast<std::uint64_t>(r1 >> 51);
+  r3 += static_cast<std::uint64_t>(r2 >> 51);
+  r4 += static_cast<std::uint64_t>(r3 >> 51);
+  out.v[0] = (static_cast<std::uint64_t>(r0) & kMask) +
+             19 * static_cast<std::uint64_t>(r4 >> 51);
+  out.v[1] = (static_cast<std::uint64_t>(r1) & kMask) + (out.v[0] >> 51);
+  out.v[0] &= kMask;
+  out.v[2] = static_cast<std::uint64_t>(r2) & kMask;
+  out.v[3] = static_cast<std::uint64_t>(r3) & kMask;
+  out.v[4] = static_cast<std::uint64_t>(r4) & kMask;
   return out;
 }
 
-Fe Fe::square() const { return *this * *this; }
+}  // namespace
+
+Fe operator*(const Fe& a, const Fe& b) {
+  const std::uint64_t f0 = a.v[0], f1 = a.v[1], f2 = a.v[2], f3 = a.v[3], f4 = a.v[4];
+  const std::uint64_t g0 = b.v[0], g1 = b.v[1], g2 = b.v[2], g3 = b.v[3], g4 = b.v[4];
+  // 2^255 == 19 (mod p): the wrapped columns take 19*g, folded into a
+  // 64-bit limb (limbs stay below 2^52, so 19*g < 2^57) before the product.
+  const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3, g4_19 = 19 * g4;
+
+  return carry_product(
+      (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 + (u128)f3 * g2_19 + (u128)f4 * g1_19,
+      (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 + (u128)f3 * g3_19 + (u128)f4 * g2_19,
+      (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 + (u128)f3 * g4_19 + (u128)f4 * g3_19,
+      (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 + (u128)f4 * g4_19,
+      (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 + (u128)f4 * g0);
+}
+
+Fe Fe::square() const {
+  // The cross terms f_i*f_j (i != j) appear twice: 15 products, not 25.
+  const std::uint64_t f0 = v[0], f1 = v[1], f2 = v[2], f3 = v[3], f4 = v[4];
+  const std::uint64_t f0_2 = 2 * f0, f1_2 = 2 * f1;
+  const std::uint64_t f3_19 = 19 * f3, f4_19 = 19 * f4;
+  const std::uint64_t f3_38 = 2 * f3_19, f4_38 = 2 * f4_19;
+
+  return carry_product(
+      (u128)f0 * f0 + (u128)f1 * f4_38 + (u128)f2 * f3_38,
+      (u128)f0_2 * f1 + (u128)f2 * f4_38 + (u128)f3 * f3_19,
+      (u128)f0_2 * f2 + (u128)f1 * f1 + (u128)f3 * f4_38,
+      (u128)f0_2 * f3 + (u128)f1_2 * f2 + (u128)f4 * f4_19,
+      (u128)f0_2 * f4 + (u128)f1_2 * f3 + (u128)f2 * f2);
+}
 
 Fe Fe::negate() const { return Fe::zero() - *this; }
 
-Fe Fe::pow(const std::array<std::uint8_t, 32>& exp_le) const {
-  Fe result = Fe::one();
-  bool started = false;
-  for (int bit = 255; bit >= 0; --bit) {
-    if (started) result = result.square();
-    const bool set = (exp_le[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1;
-    if (set) {
-      if (started) {
-        result = result * *this;
-      } else {
-        result = *this;
-        started = true;
-      }
-    }
-  }
-  return started ? result : Fe::one();
+namespace {
+
+/// x^(2^n): n successive squarings.
+Fe square_times(Fe x, int n) {
+  for (int i = 0; i < n; ++i) x = x.square();
+  return x;
 }
 
-namespace {
-std::array<std::uint8_t, 32> exp_bytes(std::uint8_t lowest, std::uint8_t highest) {
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xFF);
-  e[0] = lowest;
-  e[31] = highest;
-  return e;
+/// The shared head of the ref10 addition chains for p-2 and (p-5)/8:
+/// returns z^(2^250 - 1) and sets z11 = z^11. 249 squarings, 9 multiplies.
+Fe pow_2_250_minus_1(const Fe& z, Fe& z11) {
+  const Fe z2 = z.square();
+  const Fe z9 = square_times(z2, 2) * z;
+  z11 = z9 * z2;
+  const Fe e5 = z11.square() * z9;            // 2^5 - 1
+  const Fe e10 = square_times(e5, 5) * e5;     // 2^10 - 1
+  const Fe e20 = square_times(e10, 10) * e10;  // 2^20 - 1
+  const Fe e40 = square_times(e20, 20) * e20;  // 2^40 - 1
+  const Fe e50 = square_times(e40, 10) * e10;  // 2^50 - 1
+  const Fe e100 = square_times(e50, 50) * e50;     // 2^100 - 1
+  const Fe e200 = square_times(e100, 100) * e100;  // 2^200 - 1
+  return square_times(e200, 50) * e50;             // 2^250 - 1
 }
+
+/// z^((p-5)/8) = z^(2^252 - 3): 251 squarings, 10 multiplies.
+Fe pow_p58(const Fe& z) {
+  Fe z11;
+  return square_times(pow_2_250_minus_1(z, z11), 2) * z;
+}
+
 }  // namespace
 
 Fe Fe::invert() const {
-  // p - 2 = 2^255 - 21
-  return pow(exp_bytes(0xEB, 0x7F));
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11: 254 squarings, 11 multiplies.
+  Fe z11;
+  return square_times(pow_2_250_minus_1(*this, z11), 5) * z11;
 }
 
 bool Fe::equals(const Fe& o) const { return to_bytes() == o.to_bytes(); }
@@ -196,8 +221,14 @@ const Fe& d2() {
 }
 
 const Fe& sqrt_m1() {
-  // 2^((p-1)/4), (p-1)/4 = 2^253 - 5
-  static const Fe kSqrtM1 = Fe::from_u64(2).pow(exp_bytes(0xFB, 0x1F));
+  // 2^((p-1)/4) mod p, little-endian.
+  static const Fe kSqrtM1 = [] {
+    static constexpr std::uint8_t kBytes[32] = {
+        0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f,
+        0xad, 0x06, 0x18, 0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00,
+        0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f, 0x80, 0x24, 0x83, 0x2b};
+    return Fe::from_bytes(codec::ByteView(kBytes, sizeof kBytes));
+  }();
   return kSqrtM1;
 }
 
@@ -207,12 +238,7 @@ bool fe_sqrt_ratio(const Fe& u, const Fe& v, Fe& x) {
   // RFC 8032 section 5.1.3: candidate root of u/v.
   const Fe v3 = v.square() * v;
   const Fe v7 = v3.square() * v;
-  // (p-5)/8 = 2^252 - 3
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xFF);
-  e[0] = 0xFD;
-  e[31] = 0x0F;
-  Fe cand = u * v3 * (u * v7).pow(e);
+  Fe cand = u * v3 * pow_p58(u * v7);
 
   const Fe check = v * cand.square();
   if (check.equals(u)) {

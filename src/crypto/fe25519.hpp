@@ -40,18 +40,16 @@ struct Fe {
   Fe square() const;
   Fe negate() const;
 
-  /// a^(p-2): multiplicative inverse (0 maps to 0).
+  /// a^(p-2) through the fixed ref10 addition chain (254 squarings, 11
+  /// multiplies): multiplicative inverse (0 maps to 0).
   Fe invert() const;
-
-  /// Raise to the exponent given as 32 little-endian bytes.
-  Fe pow(const std::array<std::uint8_t, 32>& exp_le) const;
 
   bool equals(const Fe& o) const;
 };
 
-/// Curve constants, derived (not hardcoded) at first use:
-///   d       = -121665/121666 mod p
-///   sqrt(-1)= 2^((p-1)/4) mod p
+/// Curve constants:
+///   d       = -121665/121666 mod p, derived at first use
+///   sqrt(-1)= 2^((p-1)/4) mod p, a literal (its square is checked in tests)
 namespace fe_const {
 const Fe& d();        ///< Edwards d
 const Fe& d2();       ///< 2d
@@ -59,7 +57,8 @@ const Fe& sqrt_m1();  ///< sqrt(-1)
 }  // namespace fe_const
 
 /// Square root of (u/v) per RFC 8032 decompression: returns false when u/v is
-/// not a quadratic residue. On success x satisfies v*x^2 == u.
+/// not a quadratic residue. On success x satisfies v*x^2 == u. The exponent
+/// (p-5)/8 runs through a fixed addition chain (251 squarings, 10 multiplies).
 bool fe_sqrt_ratio(const Fe& u, const Fe& v, Fe& x);
 
 }  // namespace setchain::crypto

@@ -62,37 +62,77 @@ Naf wnaf(const U256& k, int w) {
   return out;
 }
 
-/// Odd multiples 1P, 3P, ..., 15P for width-5 NAF digits.
-struct OddTable {
-  std::array<Ge, 8> pts;
+/// A point prepared as the right-hand side of an addition (ref10's cached
+/// form): (Y+X, Y-X, 2Z, 2d*T). Each addition of a cached point saves the
+/// 2d*T multiply, and subtracting one swaps Y+X with Y-X and flips the sign
+/// of 2d*T instead of negating the point.
+struct Cached {
+  Fe y_plus_x, y_minus_x, z2, t2d;
 };
 
-OddTable make_odd_table(const Ge& p) {
-  OddTable t;
-  t.pts[0] = p;
-  const Ge p2 = p.dbl();
-  for (std::size_t i = 1; i < t.pts.size(); ++i) t.pts[i] = t.pts[i - 1].add(p2);
-  return t;
+Cached to_cached(const Ge& p) {
+  return Cached{p.Y + p.X, p.Y - p.X, p.Z + p.Z, p.T * fe_const::d2()};
 }
+
+/// The last step of both formulas, from the completed (E, F, G, H) form.
+/// T = E*H is read only by an addition, so a caller whose next operation is
+/// a doubling (or who reads the point only through X, Y, Z) skips it and
+/// the result carries T = 0.
+Ge finish(const Fe& E, const Fe& F, const Fe& G, const Fe& H, bool with_t) {
+  return Ge{E * F, G * H, F * G, with_t ? E * H : Fe::zero()};
+}
+
+/// p + q, or p - q when `sub` (add-2008-hwcd-3 for a = -1, unified and
+/// complete). Reads p.T.
+Ge add_cached(const Ge& p, const Cached& q, bool sub, bool with_t) {
+  const Fe A = (p.Y - p.X) * (sub ? q.y_plus_x : q.y_minus_x);
+  const Fe B = (p.Y + p.X) * (sub ? q.y_minus_x : q.y_plus_x);
+  const Fe C = p.T * q.t2d;
+  const Fe D = p.Z * q.z2;
+  const Fe E = B - A;
+  const Fe H = B + A;
+  return sub ? finish(E, D + C, D - C, H, with_t) : finish(E, D - C, D + C, H, with_t);
+}
+
+/// 2p (dbl-2008-hwcd for a = -1). Reads X, Y, Z only, so a run of
+/// doublings needs T from none but the last.
+Ge doubled(const Ge& p, bool with_t) {
+  const Fe A = p.X.square();
+  const Fe B = p.Y.square();
+  const Fe ZZ = p.Z.square();
+  const Fe AB = A + B;
+  const Fe G = B - A;
+  return finish((p.X + p.Y).square() - AB, G - (ZZ + ZZ), G, AB.negate(), with_t);
+}
+
+/// Odd multiples 1P, 3P, ..., (2N-1)P in cached form.
+template <std::size_t N>
+std::array<Cached, N> odd_multiples(const Ge& p) {
+  std::array<Cached, N> out;
+  out[0] = to_cached(p);
+  const Cached p2 = to_cached(doubled(p, true));
+  Ge cur = p;
+  for (std::size_t i = 1; i < N; ++i) {
+    cur = add_cached(cur, p2, false, true);
+    out[i] = to_cached(cur);
+  }
+  return out;
+}
+
+using OddTable = std::array<Cached, 8>;  ///< 1P .. 15P for width-5 NAF digits
 
 constexpr int kBaseWindow = 8;  ///< width-8 NAF for the fixed base point
 
 /// 1B, 3B, ..., 127B, built once.
-const std::array<Ge, 64>& base_odd_table() {
-  static const std::array<Ge, 64> kTable = [] {
-    std::array<Ge, 64> out;
-    out[0] = Ge::base();
-    const Ge b2 = Ge::base().dbl();
-    for (std::size_t i = 1; i < out.size(); ++i) out[i] = out[i - 1].add(b2);
-    return out;
-  }();
+const std::array<Cached, 64>& base_odd_table() {
+  static const std::array<Cached, 64> kTable = odd_multiples<64>(Ge::base());
   return kTable;
 }
 
 template <std::size_t N>
-Ge add_digit(const Ge& acc, const std::array<Ge, N>& odd, int d) {
-  return d > 0 ? acc.add(odd[static_cast<std::size_t>(d) >> 1])
-               : acc.add(odd[static_cast<std::size_t>(-d) >> 1].negate());
+Ge add_digit(const Ge& acc, const std::array<Cached, N>& odd, int d, bool with_t) {
+  return d > 0 ? add_cached(acc, odd[static_cast<std::size_t>(d) >> 1], false, with_t)
+               : add_cached(acc, odd[static_cast<std::size_t>(-d) >> 1], true, with_t);
 }
 
 }  // namespace
@@ -112,31 +152,9 @@ const Ge& Ge::base() {
   return kBase;
 }
 
-Ge Ge::add(const Ge& o) const {
-  // add-2008-hwcd-3 for a = -1 twisted Edwards (unified, complete).
-  const Fe A = (Y - X) * (o.Y - o.X);
-  const Fe B = (Y + X) * (o.Y + o.X);
-  const Fe C = T * fe_const::d2() * o.T;
-  const Fe D = (Z + Z) * o.Z;
-  const Fe E = B - A;
-  const Fe F = D - C;
-  const Fe G = D + C;
-  const Fe H = B + A;
-  return Ge{E * F, G * H, F * G, E * H};
-}
+Ge Ge::add(const Ge& o) const { return add_cached(*this, to_cached(o), false, true); }
 
-Ge Ge::dbl() const {
-  // dbl-2008-hwcd for a = -1.
-  const Fe A = X.square();
-  const Fe B = Y.square();
-  const Fe C = Z.square() + Z.square();
-  const Fe D = A.negate();
-  const Fe E = (X + Y).square() - A - B;
-  const Fe G = D + B;
-  const Fe F = G - C;
-  const Fe H = D - B;
-  return Ge{E * F, G * H, F * G, E * H};
-}
+Ge Ge::dbl() const { return doubled(*this, true); }
 
 Ge Ge::negate() const { return Ge{X.negate(), Y, Z, T.negate()}; }
 
@@ -157,15 +175,8 @@ Ge Ge::scalar_mul(const U256& k) const {
 }
 
 Ge Ge::scalar_mul_vartime(const U256& k) const {
-  const Naf naf = wnaf(k, 5);
-  if (naf.len == 0) return Ge::identity();
-  const OddTable odd = make_odd_table(*this);
-  Ge acc = Ge::identity();
-  for (int i = naf.len; i-- > 0;) {
-    acc = acc.dbl();
-    if (naf.d[i] != 0) acc = add_digit(acc, odd.pts, naf.d[i]);
-  }
-  return acc;
+  const ScalarPoint term{k, *this};
+  return multi_scalar_mul(U256::zero(), std::span(&term, 1));
 }
 
 Ge Ge::base_scalar_mul(const U256& k) {
@@ -181,19 +192,29 @@ Ge Ge::multi_scalar_mul(const U256& base_scalar, std::span<const ScalarPoint> te
   int top = base_naf.len;
   for (const auto& t : terms) {
     nafs.push_back(wnaf(t.scalar, 5));
-    tables.push_back(make_odd_table(t.point));
+    if (nafs.back().len == 0) {  // a zero scalar adds nothing
+      nafs.pop_back();
+      continue;
+    }
+    tables.push_back(odd_multiples<8>(t.point));
     top = std::max(top, nafs.back().len);
   }
 
+  // T is computed only where the next operation reads it: by every digit
+  // addition but the last at a position (the one after it is a doubling),
+  // and at position 0, whose last operation yields the result.
   Ge acc = Ge::identity();
   for (int i = top; i-- > 0;) {
-    acc = acc.dbl();
+    int digits = i < base_naf.len && base_naf.d[i] != 0 ? 1 : 0;
+    for (const Naf& naf : nafs) digits += i < naf.len && naf.d[i] != 0 ? 1 : 0;
+
+    acc = doubled(acc, digits > 0 || i == 0);
     if (i < base_naf.len && base_naf.d[i] != 0) {
-      acc = add_digit(acc, base_odd_table(), base_naf.d[i]);
+      acc = add_digit(acc, base_odd_table(), base_naf.d[i], --digits > 0 || i == 0);
     }
     for (std::size_t j = 0; j < nafs.size(); ++j) {
       if (i < nafs[j].len && nafs[j].d[i] != 0) {
-        acc = add_digit(acc, tables[j].pts, nafs[j].d[i]);
+        acc = add_digit(acc, tables[j], nafs[j].d[i], --digits > 0 || i == 0);
       }
     }
   }

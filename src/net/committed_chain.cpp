@@ -133,7 +133,11 @@ void CommittedChain::sync_tick() {
   // catch-up keeps working while any one peer is down.
   std::uint32_t target = sync_cursor_++ % cfg_.n;
   if (target == cfg_.self) target = sync_cursor_++ % cfg_.n;
-  transport_.send(target, wire::MsgType::kBlockSyncRequest,
+  request_sync(target);
+}
+
+void CommittedChain::request_sync(EndpointId peer) {
+  transport_.send(peer, wire::MsgType::kBlockSyncRequest,
                   wire::encode_block_sync_request(wire::BlockSyncRequest{height_ + 1}));
 }
 

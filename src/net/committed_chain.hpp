@@ -121,6 +121,9 @@ class CommittedChain {
   /// `from_height` up, as many as one sync response carries; nothing when
   /// none of them is held.
   void serve_sync(EndpointId to, std::uint64_t from_height);
+  /// Ask `peer` for the blocks above height(): the periodic pull's request,
+  /// also sent at once by a ledger that sees it has fallen behind.
+  void request_sync(EndpointId peer);
 
   /// Snapshot state prefix, led by the caller's format `version` byte.
   void serialize_state(codec::Writer& w, std::uint8_t version) const;

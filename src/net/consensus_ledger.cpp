@@ -134,7 +134,7 @@ void ConsensusLedger::on_tx_submit(EndpointId from, wire::TxSubmit&& m) {
 }
 
 bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {
-  (void)from;  // any holder may retransmit, so the sender need not be the proposer
+  // Any holder may retransmit, so the sender need not be the proposer.
   // Validate and dedup on a zero-copy view first: proposals are rebroadcast
   // by every holder, so most arrivals are duplicates — those are dropped
   // after a hash over the payload, without materializing a single tx.
@@ -145,6 +145,7 @@ bool ConsensusLedger::on_proposal(EndpointId from, codec::ByteView payload) {
   const std::uint64_t active = active_height();
   if (v->block.height > active + 1) {
     ++proposals_dropped_ahead_;
+    pull_catchup(from);
     return true;
   }
   if (v->block.height < active) return true;  // stale: the height already closed
@@ -236,6 +237,7 @@ bool ConsensusLedger::on_vote_frame(wire::MsgType type, EndpointId from,
   }
   if (m.height > active + 1) {
     ++votes_dropped_ahead_;
+    pull_catchup(from);
     return true;
   }
   if (m.round > cur_round_ + kMaxRoundsAhead) return true;  // round-spam guard
@@ -557,10 +559,22 @@ std::optional<wire::VoteMsg> ConsensusLedger::own_vote(
 }
 
 void ConsensusLedger::try_commit() {
+  std::optional<std::uint32_t> holder;  ///< a peer that voted a payload we lack
   for (const auto& [round, rv] : precommits_) {
     for (const wire::ProposalHash& hash : quorum_hashes(rv)) {
       const auto it = proposals_.find(hash);
-      if (it == proposals_.end()) continue;  // retransmission will deliver it
+      if (it == proposals_.end()) {
+        // Its voters commit it as soon as they hold it: pull the certified
+        // block from one (rotating, in case that one lacks it too).
+        std::vector<std::uint32_t> voters;
+        for (std::uint32_t voter = 0; voter < cfg_.n; ++voter) {
+          if (voter != cfg_.self && rv[voter].set && rv[voter].hash == hash) {
+            voters.push_back(voter);
+          }
+        }
+        if (!holder && !voters.empty()) holder = voters[catchup_pulls_ % voters.size()];
+        continue;
+      }
       // Assemble the commit certificate from the quorum's own signatures
       // (slots are voter-indexed, so the voter ids come out ascending — the
       // strictly-increasing wire rule holds by construction).
@@ -579,6 +593,16 @@ void ConsensusLedger::try_commit() {
       return;
     }
   }
+  if (holder) pull_catchup(*holder);
+}
+
+void ConsensusLedger::pull_catchup(EndpointId peer) {
+  if (peer >= cfg_.n || peer == cfg_.self) return;
+  const sim::Time now = timers_.now();
+  if (now < next_catchup_pull_) return;
+  next_catchup_pull_ = now + tick_interval_;
+  ++catchup_pulls_;
+  chain_.request_sync(peer);
 }
 
 void ConsensusLedger::maybe_advance_round() {

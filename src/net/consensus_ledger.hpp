@@ -117,7 +117,11 @@ struct ConsensusLedgerConfig {
 ///    through the same masking / holding-cap / prevote path as a fresh
 ///    arrival. A node that commits H a moment after H+1's proposal arrived
 ///    prevotes at once instead of waiting out a retransmit
-///    (proposals_buffered() / proposals_dropped_ahead()).
+///    (proposals_buffered() / proposals_dropped_ahead()). A frame two or
+///    more heights ahead is dropped, and so is the payload it carried; the
+///    node then pulls the certified blocks it missed from the frame's
+///    sender at once (catchup_pulls()), as it does from a quorum voter when
+///    it holds a precommit quorum for a payload it lacks.
 ///  * Submissions gossip: append() hands the tx to CommittedChain::submit,
 ///    which pools it, broadcasts kTxSubmit to every peer and retransmits
 ///    with capped backoff until the tx's content key lands in a committed
@@ -206,6 +210,9 @@ class ConsensusLedger final : public ledger::IBlockLedger {
   std::uint64_t votes_dropped_ahead() const { return votes_dropped_ahead_; }
   std::uint64_t proposals_buffered() const { return proposals_buffered_; }
   std::uint64_t proposals_dropped_ahead() const { return proposals_dropped_ahead_; }
+  /// Block-sync requests sent at once because this node saw it had fallen
+  /// behind, rather than on the periodic sync pull.
+  std::uint64_t catchup_pulls() const { return catchup_pulls_; }
   bool masked(std::uint32_t node) const {
     return node < masked_.size() && masked_[node];
   }
@@ -310,6 +317,12 @@ class ConsensusLedger final : public ledger::IBlockLedger {
   void commit_block(wire::BlockMsg&& block, codec::Bytes cert_raw);
   void replay_buffered_votes();
   void replay_buffered_proposals();
+  /// Pull the blocks above our height from `peer` now, at most once per
+  /// tick_interval_: a frame two or more heights ahead was dropped, or a
+  /// precommit quorum names a payload we do not hold. Either way the
+  /// cluster has committed past us, and waiting for the periodic sync pull
+  /// would stall every height we are due to propose.
+  void pull_catchup(EndpointId peer);
 
   ConsensusLedgerConfig cfg_;
   sim::Simulation& timers_;
@@ -351,6 +364,8 @@ class ConsensusLedger final : public ledger::IBlockLedger {
   std::uint64_t proposals_buffered_ = 0;
   std::uint64_t proposals_dropped_ahead_ = 0;
   FutureProposals future_proposals_;
+  std::uint64_t catchup_pulls_ = 0;
+  sim::Time next_catchup_pull_ = 0;
 
   std::uint64_t blocks_broadcast_ = 0;  ///< fresh proposals sealed here
   bool started_ = false;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "codec/hex.hpp"
 #include "crypto/bigint.hpp"
@@ -246,6 +248,146 @@ TEST(Fe25519, DConstantMatchesRfc8032) {
             "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352");
 }
 
+// ------------------------------------- fe25519 kernels vs a slow reference
+
+// The reference works on BigUInt residues mod p with generic multiply +
+// long-division reduction and bit-by-bit square-and-multiply powers: slow,
+// and sharing no code with the limb kernels or their addition chains.
+
+U256 field_p() {
+  U256 p;
+  p.w[0] = 0xFFFFFFFFFFFFFFEDULL;
+  p.w[1] = p.w[2] = ~0ULL;
+  p.w[3] = 0x7FFFFFFFFFFFFFFFULL;
+  return p;
+}
+
+/// The value a limb vector stands for, mod p, read from the raw limbs (so
+/// unreduced limbs are checked without going through Fe::to_bytes).
+U256 ref_value(const Fe& f) {
+  U512 acc;
+  for (std::size_t i = 5; i-- > 0;) {
+    acc = acc.shl(51);
+    acc.add_in_place(U512::from_u64(f.v[i]));
+  }
+  return mod_512(acc, field_p());
+}
+
+/// The canonical value of a kernel result.
+U256 fe_value(const Fe& f) {
+  const auto b = f.to_bytes();
+  return U256::from_bytes_le(codec::ByteView(b.data(), b.size()));
+}
+
+U256 ref_mul(const U256& a, const U256& b) { return mod_512(mul_256(a, b), field_p()); }
+
+U256 ref_pow(const U256& a, const U256& e) {
+  U256 r = U256::from_u64(1);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    r = ref_mul(r, r);
+    if (e.bit(i)) r = ref_mul(r, a);
+  }
+  return r;
+}
+
+U256 ref_neg(const U256& a) {
+  if (a.is_zero()) return a;
+  U256 r = field_p();
+  r.sub_in_place(a);
+  return r;
+}
+
+/// 2^k - c, for the exponents p-2 = 2^255-21, (p-5)/8 = 2^252-3 and
+/// (p-1)/4 = 2^253-5.
+U256 pow2_minus(std::size_t k, std::uint64_t c) {
+  U256 r = U256::from_u64(1).shl(k);
+  r.sub_in_place(U256::from_u64(c));
+  return r;
+}
+
+/// RFC 8032 5.1.3 on the reference: (ok, x).
+std::pair<bool, U256> ref_sqrt_ratio(const U256& u, const U256& v) {
+  const U256 v3 = ref_mul(ref_mul(v, v), v);
+  const U256 v7 = ref_mul(ref_mul(v3, v3), v);
+  const U256 cand = ref_mul(ref_mul(u, v3), ref_pow(ref_mul(u, v7), pow2_minus(252, 3)));
+  const U256 check = ref_mul(v, ref_mul(cand, cand));
+  if (check == u) return {true, cand};
+  if (check == ref_neg(u)) {
+    return {true, ref_mul(cand, ref_pow(U256::from_u64(2), pow2_minus(253, 5)))};
+  }
+  return {false, U256::zero()};
+}
+
+Fe limbs(std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t d, std::uint64_t e) {
+  Fe f;
+  f.v = {a, b, c, d, e};
+  return f;
+}
+
+/// Seeded random elements plus the edge values: 0, 1, p-1, and limb
+/// vectors at the 2^51 carry boundary (p itself unreduced, all limbs 2^51,
+/// all limbs 2^51 - 1, and a mix).
+std::vector<Fe> kernel_inputs(std::uint64_t seed, int random_count) {
+  constexpr std::uint64_t k51 = std::uint64_t{1} << 51;
+  std::vector<Fe> out = {
+      Fe::zero(),
+      Fe::one(),
+      Fe::one().negate(),
+      limbs(k51 - 19, k51 - 1, k51 - 1, k51 - 1, k51 - 1),
+      limbs(k51, k51, k51, k51, k51),
+      limbs(k51 - 1, k51 - 1, k51 - 1, k51 - 1, k51 - 1),
+      limbs(k51, 0, k51 - 1, k51, 1),
+  };
+  sim::Rng rng(seed);
+  for (int i = 0; i < random_count; ++i) {
+    std::array<std::uint8_t, 32> b{};
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next_u64());
+    out.push_back(Fe::from_bytes(codec::ByteView(b.data(), b.size())));
+  }
+  return out;
+}
+
+TEST(Fe25519Kernels, MultiplyAndSquareMatchReference) {
+  const auto in = kernel_inputs(51, 64);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const U256 a = ref_value(in[i]);
+    EXPECT_EQ(fe_value(in[i].square()), ref_mul(a, a)) << i;
+    const Fe& other = in[(i * 7 + 3) % in.size()];
+    EXPECT_EQ(fe_value(in[i] * other), ref_mul(a, ref_value(other))) << i;
+  }
+}
+
+TEST(Fe25519Kernels, InvertMatchesReferencePower) {
+  const U256 p_minus_2 = pow2_minus(255, 21);
+  for (const Fe& f : kernel_inputs(52, 16)) {
+    EXPECT_EQ(fe_value(f.invert()), ref_pow(ref_value(f), p_minus_2));
+  }
+}
+
+TEST(Fe25519Kernels, SqrtRatioMatchesReference) {
+  const auto in = kernel_inputs(53, 12);
+  int roots = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    for (const std::size_t j : {i, (i + 1) % in.size(), (i * 5 + 2) % in.size()}) {
+      const U256 u = ref_value(in[i]);
+      const U256 v = ref_value(in[j]);
+      const auto [want_ok, want_x] = ref_sqrt_ratio(u, v);
+      Fe x;
+      const bool ok = fe_sqrt_ratio(in[i], in[j], x);
+      ASSERT_EQ(ok, want_ok) << i << "/" << j;
+      if (!ok) continue;
+      ++roots;
+      EXPECT_EQ(fe_value(x), want_x) << i << "/" << j;
+      EXPECT_EQ(ref_mul(v, ref_mul(want_x, want_x)), u) << i << "/" << j;
+    }
+  }
+  EXPECT_GT(roots, 10);  // both verdicts are exercised
+}
+
+TEST(Fe25519Kernels, SqrtMinusOneIsTheDefinedPower) {
+  EXPECT_EQ(fe_value(fe_const::sqrt_m1()), ref_pow(U256::from_u64(2), pow2_minus(253, 5)));
+}
+
 // ------------------------------------------------------------------- ge25519
 
 TEST(Ge25519, BasePointEncoding) {
@@ -420,6 +562,30 @@ TEST(Pki, SignVerifyAcrossProcesses) {
   EXPECT_TRUE(pki.verify(0, msg, sig));
   EXPECT_FALSE(pki.verify(1, msg, sig));          // wrong signer
   EXPECT_FALSE(pki.verify(99, msg, sig));         // unknown process
+}
+
+TEST(Pki, SignatureBytesArePinned) {
+  // 1000 signatures from 20 processes over messages of 0..96 bytes, folded
+  // into one digest with the public keys: a change to key derivation,
+  // signing or any encoding byte moves it.
+  Pki pki(2509);
+  Sha512 h;
+  for (ProcessId id = 0; id < 20; ++id) {
+    const auto& pub = pki.register_process(id);
+    h.update(codec::ByteView(pub.data(), pub.size()));
+  }
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    codec::Bytes msg(i % 97);
+    for (std::size_t j = 0; j < msg.size(); ++j) {
+      msg[j] = static_cast<std::uint8_t>(i * 131 + j * 7);
+    }
+    const auto sig = pki.sign(i % 20, msg);
+    h.update(codec::ByteView(sig.data(), sig.size()));
+  }
+  const auto digest = h.finalize();
+  EXPECT_EQ(hex(codec::ByteView(digest.data(), digest.size())),
+            "26e2da3f6aea467df9aabe8929b274dc328b746eb133baa28094060fb544969b"
+            "a8aabd0588179d57da5d5dd8d4ba53b8ecb68b7faf1679773766ced16f0eae0d");
 }
 
 TEST(Pki, UnknownProcessThrowsOnSign) {

@@ -5,6 +5,7 @@
 // entry, for valid and invalid signatures alike.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -303,6 +304,173 @@ TEST(Ed25519Batch, AgreesWithScalarVerifyOnRandomizedSuite) {
     }
   }
   EXPECT_EQ(checked, 1000u);
+}
+
+TEST(Ed25519Batch, SeededForgerySuiteMatchesScalarVerify) {
+  // 200 batches of 1-64 entries signed by 1-4 keys (so the per-key folding
+  // of the combined check sees one to many entries per key), each with 0-3
+  // forgeries: a flipped S bit, a wrong message, R lifted from another
+  // signature, or the messages of two entries of one key swapped.
+  std::vector<Ed25519::Seed> seeds(4);
+  std::vector<Ed25519::PublicKey> pubs(4);
+  sim::Rng key_rng(2601);
+  for (std::size_t k = 0; k < seeds.size(); ++k) {
+    for (auto& b : seeds[k]) b = static_cast<std::uint8_t>(key_rng.next_u64());
+    pubs[k] = Ed25519::public_key(seeds[k]);
+  }
+  std::vector<std::size_t> key_of;
+  sim::Rng rng(2602);
+  std::size_t forged_total = 0;
+  for (int batch = 0; batch < 200; ++batch) {
+    const std::size_t n = 1 + rng.next_u64() % 64;
+    const std::size_t keys = 1 + rng.next_u64() % 4;
+    std::vector<Signed> s(n);
+    key_of.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      key_of[i] = rng.next_u64() % keys;
+      s[i].pub = pubs[key_of[i]];
+      s[i].msg.resize(1 + rng.next_u64() % 48);
+      for (auto& b : s[i].msg) b = static_cast<std::uint8_t>(rng.next_u64());
+      s[i].sig = Ed25519::sign(seeds[key_of[i]], s[i].pub, s[i].msg);
+    }
+    const std::size_t forgeries = rng.next_u64() % 4;
+    for (std::size_t f = 0; f < forgeries; ++f) {
+      const std::size_t i = rng.next_u64() % n;
+      const std::size_t other = rng.next_u64() % n;
+      switch (rng.next_u64() % 4) {
+        case 0:  // flipped S bit
+          s[i].sig[32 + rng.next_u64() % 32] ^=
+              static_cast<std::uint8_t>(1u << (rng.next_u64() % 8));
+          break;
+        case 1:  // wrong message
+          s[i].msg[rng.next_u64() % s[i].msg.size()] ^= 0x04;
+          break;
+        case 2:  // R taken from another signature
+          std::copy(s[other].sig.begin(), s[other].sig.begin() + 32, s[i].sig.begin());
+          break;
+        default:  // two entries of one key with their messages swapped
+          for (std::size_t j = 0; j < n; ++j) {
+            if (j != i && key_of[j] == key_of[i]) {
+              std::swap(s[i].msg, s[j].msg);
+              break;
+            }
+          }
+          break;
+      }
+    }
+    const auto res = Ed25519::verify_batch(entries_of(s));
+    bool all = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool scalar = Ed25519::verify(s[i].pub, s[i].msg, s[i].sig);
+      ASSERT_EQ(res.valid[i], scalar) << "batch " << batch << " entry " << i;
+      all = all && scalar;
+      if (!scalar) ++forged_total;
+    }
+    EXPECT_EQ(res.all_valid, all) << "batch " << batch;
+  }
+  EXPECT_GT(forged_total, 150u);  // the suite really exercises the bisection
+}
+
+// Entries built from explicit scalars so that keys and nonces can carry a
+// small-order component: A' = a*B + T_A, R' = r*B + T_R, S = r + k*a with
+// k = H(R' || A' || M). Honest signing never produces such entries.
+struct Torsioned {
+  U256 a;
+  Ge t_key;
+};
+
+U256 order_l() {
+  U256 l;
+  l.w[0] = 0x5812631A5CF5D3EDULL;
+  l.w[1] = 0x14DEF9DEA2F79CD6ULL;
+  l.w[3] = 0x1000000000000000ULL;
+  return l;
+}
+
+Signed sign_torsioned(const Torsioned& key, const Ge& t_nonce, const U256& r,
+                      codec::Bytes msg) {
+  const U256 l = order_l();
+  Signed out;
+  out.pub = Ge::base_scalar_mul(key.a).add(key.t_key).compress();
+  out.msg = std::move(msg);
+  const auto r_enc = Ge::base_scalar_mul(r).add(t_nonce).compress();
+  Sha512 kh;
+  kh.update(codec::ByteView(r_enc.data(), r_enc.size()));
+  kh.update(codec::ByteView(out.pub.data(), out.pub.size()));
+  kh.update(out.msg);
+  const auto kd = kh.finalize();
+  const U256 k = mod_512(U512::from_bytes_le(codec::ByteView(kd.data(), kd.size())), l);
+  const auto s_enc = muladd_mod(k, key.a, r, l).to_bytes_le<32>();
+  std::copy(r_enc.begin(), r_enc.end(), out.sig.begin());
+  std::copy(s_enc.begin(), s_enc.end(), out.sig.begin() + 32);
+  return out;
+}
+
+Ge point_from_hex(const char* h) {
+  std::array<std::uint8_t, 32> b{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    b[i] = static_cast<std::uint8_t>(std::stoi(std::string(h + 2 * i, 2), nullptr, 16));
+  }
+  const auto p = Ge::decompress(codec::ByteView(b.data(), b.size()));
+  EXPECT_TRUE(p.has_value()) << h;
+  return p.value_or(Ge::identity());
+}
+
+TEST(Ed25519Batch, SmallOrderComponentsKeepTheirVerdicts) {
+  // Cofactorless checks: a scalar-valid verdict needs S*B - k*A' == R' as
+  // points, so a small-order part of R' always fails there, and one of A'
+  // passes only when k kills it. The random linear combination can mask a
+  // small-order residue (z_i*T == 0 when 8 | z_i), so for these crafted
+  // entries the batch verdict may differ from scalar `verify`; what it must
+  // never do is move. The vector below was recorded before the per-key
+  // folding and the cached-point tables went in: both compute the same
+  // group element, so they must reproduce it bit for bit.
+  const Ge t8 = point_from_hex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05");
+  const Ge t2 = point_from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  ASSERT_TRUE(t8.scalar_mul(U256::from_u64(8)).is_identity());
+  ASSERT_FALSE(t8.scalar_mul(U256::from_u64(4)).is_identity());
+  ASSERT_TRUE(t2.dbl().is_identity());
+
+  sim::Rng rng(2603);
+  const auto scalar = [&rng] {
+    U256 k = random_u256(rng);
+    k.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
+    return k;
+  };
+  const Torsioned honest{scalar(), Ge::identity()};
+  const Torsioned key8{scalar(), t8};
+  const Torsioned key2{scalar(), t2};
+  std::string batch_verdicts;
+  std::string scalar_verdicts;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<Signed> s;
+    const auto msg = [&] {
+      codec::Bytes m(8);
+      for (auto& b : m) b = static_cast<std::uint8_t>(rng.next_u64());
+      return m;
+    };
+    s.push_back(sign_torsioned(honest, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(honest, t8, scalar(), msg()));  // R + T8
+    s.push_back(sign_torsioned(key8, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(key8, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(key8, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(key2, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(key2, Ge::identity(), scalar(), msg()));
+    s.push_back(sign_torsioned(honest, t2, scalar(), msg()));  // R + T2
+    s.push_back(sign_torsioned(honest, Ge::identity(), scalar(), msg()));
+    const auto res = Ed25519::verify_batch(entries_of(s));
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      batch_verdicts += res.valid[i] ? '1' : '0';
+      scalar_verdicts += Ed25519::verify(s[i].pub, s[i].msg, s[i].sig) ? '1' : '0';
+    }
+    batch_verdicts += ' ';
+    scalar_verdicts += ' ';
+  }
+  EXPECT_EQ(batch_verdicts,
+            "100000101 100011111 100001001 100000011 111101101 100000111 "
+            "111100111 100001011 111111111 100011111 100011111 100000111 "
+            "111101111 100011011 100100111 100000011 111111111 111111111 "
+            "100000111 111111111 111111111 100000101 100001111 111101111 ") << "scalar: " << scalar_verdicts;
 }
 
 // ---------------------------------------------------------------- Pki batch

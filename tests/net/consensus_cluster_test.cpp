@@ -11,7 +11,8 @@
 // Two regressions ride along: a submit window cut mid-flight must heal by
 // resubmission, not luck; and oversized txs must
 // neither overfill nor wedge a block. A node one commit behind must hold the
-// next height's proposal instead of dropping it (ConsensusLookahead).
+// next height's proposal instead of dropping it, and a node further behind
+// must pull the blocks it missed at once (ConsensusLookahead).
 #include "net/consensus_ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -570,6 +571,152 @@ TEST(ConsensusLookahead, NextHeightProposalCommitsWithoutRetransmitWait) {
   assert_cluster_matches_reference(cl.servers(), accepted, created,
                                    cl.hosts[0]->params(), cl.hosts[0]->pki(), reference,
                                    "vanilla/proposal-lookahead");
+}
+
+/// Node 0's inbound tap that, while holding, queues every frame from a
+/// peer and delivers the queue in arrival order on release(). Sync
+/// responses that arrive while holding answer pulls made while cut off and
+/// are dropped, so any catching up starts from the release. Client frames
+/// pass straight through. Outbound, it notes when the node last asked a
+/// peer for blocks.
+class HoldPeerFrames final : public ForwardingTransport {
+ public:
+  HoldPeerFrames(ITransport& inner, sim::Simulation& sim, std::uint32_t n)
+      : ForwardingTransport(inner), sim_(sim), n_(n) {}
+
+  void set_handler(FrameHandler handler) override {
+    handler_ = std::move(handler);
+    inner_.set_handler([this](EndpointId from, wire::Frame&& f) {
+      if (!holding || from >= n_) return handler_(from, std::move(f));
+      if (f.type != wire::MsgType::kBlockSyncResponse) {
+        held_.emplace_back(from, std::move(f));
+      }
+    });
+  }
+  bool send(EndpointId to, wire::MsgType type, codec::ByteView payload) override {
+    if (type == wire::MsgType::kBlockSyncRequest) last_sync_request = sim_.now();
+    return inner_.send(to, type, payload);
+  }
+
+  void release() {
+    holding = false;
+    auto held = std::move(held_);
+    held_.clear();
+    for (auto& [from, f] : held) handler_(from, std::move(f));
+  }
+
+  bool holding = false;
+  sim::Time last_sync_request = 0;
+
+ private:
+  sim::Simulation& sim_;
+  std::uint32_t n_;
+  FrameHandler handler_;
+  std::vector<std::pair<EndpointId, wire::Frame>> held_;
+};
+
+// A lagging node catches up at once. Node 0 is cut off inbound while the
+// rest of the cluster commits at least three heights, and is released just
+// as the cluster reaches the height node 0 proposes. The released frames
+// commit the first missed height and buffer the second; those of later
+// heights are too far ahead and are dropped with their payloads. Node 0
+// must pull the missing certified blocks at once, not at its next periodic
+// sync pull (up to sync_interval later), and then propose, since the whole
+// cluster is waiting for it.
+TEST(ConsensusLookahead, LaggingProposerPullsMissedBlocksAtOnce) {
+  LoopbackCluster cl(runner::Algorithm::kVanilla, /*seed=*/42, /*n=*/4,
+                     /*link_latency=*/sim::from_millis(1));
+  HoldPeerFrames* hold = nullptr;
+  cl.start([&](const NodeHostConfig& c, ITransport& t) -> std::unique_ptr<ITransport> {
+    if (c.id != 0) return nullptr;
+    auto w = std::make_unique<HoldPeerFrames>(t, cl.sim, c.n);
+    hold = w.get();
+    return w;
+  });
+  ASSERT_NE(hold, nullptr);
+  std::map<std::uint64_t, sim::Time> node0_at, node1_at;  ///< height -> commit time
+  cl.hosts[0]->ledger().set_commit_hook(
+      [&](std::uint64_t height, codec::ByteView) { node0_at[height] = cl.sim.now(); });
+  cl.hosts[1]->ledger().set_commit_hook(
+      [&](std::uint64_t height, codec::ByteView) { node1_at[height] = cl.sim.now(); });
+
+  const auto elements = make_workload(cl.cfg, 60, cl.pki);
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  std::vector<core::ElementId> accepted;
+  std::size_t next = 0;
+  const auto add_one = [&] {
+    ASSERT_LT(next, elements.size()) << "workload ran out before the cluster lagged";
+    const auto more = drive(client, {elements[next++]});
+    accepted.insert(accepted.end(), more.begin(), more.end());
+  };
+  for (int i = 0; i < 5; ++i) add_one();
+  cl.pump_seconds(1);
+
+  const ConsensusLedger& c0 = cl.hosts[0]->ledger();
+  const ConsensusLedger& c1 = cl.hosts[1]->ledger();
+  hold->holding = true;
+  const std::uint64_t held_at = c0.height();
+  // Keep work flowing until the cluster is 3+ heights ahead and has just
+  // committed the height before one node 0 proposes. So that the release
+  // measures the catch-up alone, also wait out node 0's block_interval
+  // pacing (it may seal one block as the hold starts: it can be the
+  // proposer of the first held height), and release only once the answer
+  // to node 0's last periodic sync pull has been dropped (a round trip is
+  // 2 ms) and while its next one is more than the budget away.
+  const sim::Time budget = cl.cfg.sync_interval / 4;
+  std::uint64_t seals = c0.blocks_broadcast();
+  sim::Time last_seal = cl.sim.now();
+  const auto lagging = [&] {
+    if (c0.blocks_broadcast() != seals) {
+      seals = c0.blocks_broadcast();
+      last_seal = cl.sim.now();
+    }
+    const sim::Time now = cl.sim.now();
+    return c1.height() >= held_at + 3 && c1.proposer_for(c1.height() + 1, 0) == 0 &&
+           node1_at.contains(c1.height()) && now >= last_seal + cl.cfg.block_interval &&
+           now >= hold->last_sync_request + sim::from_millis(5) &&
+           now + budget < hold->last_sync_request + cl.cfg.sync_interval;
+  };
+  // Steps of 1 ms from a cursor: run_until leaves the clock at the last
+  // event it ran, so stepping from now() could stall on an empty slice.
+  sim::Time cursor = cl.sim.now();
+  const auto step = [&] {
+    cursor = std::max(cursor, cl.sim.now()) + sim::from_millis(1);
+    cl.sim.run_until(cursor);
+  };
+  while (!lagging()) {
+    add_one();
+    if (HasFatalFailure()) return;
+    for (int ms = 0; ms < 30 && !lagging(); ++ms) step();
+  }
+  const std::uint64_t missed_to = c1.height();
+  ASSERT_EQ(c0.height(), held_at) << "node 0 was not cut off";
+  ASSERT_EQ(c0.catchup_pulls(), 0u);
+
+  const sim::Time released = cl.sim.now();
+  hold->release();
+  while (cursor < released + budget && !node1_at.contains(missed_to + 1)) step();
+  EXPECT_GT(c0.proposals_dropped_ahead() + c0.votes_dropped_ahead(), 0u)
+      << "the lag never reached two heights";
+  EXPECT_GT(c0.catchup_pulls(), 0u);
+  ASSERT_TRUE(node0_at.contains(missed_to))
+      << "node 0 still lacks height " << missed_to << " " << sim::to_millis(budget)
+      << " ms after the release";
+  EXPECT_LT(node0_at[missed_to] - released, budget);
+  ASSERT_TRUE(node1_at.contains(missed_to + 1))
+      << "the cluster did not commit height " << missed_to + 1 << " (node 0 proposes it) "
+      << sim::to_millis(budget) << " ms after the release";
+  EXPECT_LT(node1_at[missed_to + 1] - released, budget);
+
+  while (next < elements.size()) add_one();
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }));
+  const ReferenceRun reference = run_reference(cl.cfg, elements);
+  std::unordered_set<core::ElementId> created(accepted.begin(), accepted.end());
+  assert_cluster_matches_reference(cl.servers(), accepted, created,
+                                   cl.hosts[0]->params(), cl.hosts[0]->pki(), reference,
+                                   "vanilla/lagging-proposer-catch-up");
 }
 
 // Random bit-flips on the server<->server links (the kCorrupt fault): every

@@ -237,14 +237,15 @@ int main(int argc, char** argv) {
           "setchain_node[%u] consensus: equivocations=%llu masked=%u "
           "vote_sig_rejects=%llu cert_rejects=%llu votes_buffered=%llu "
           "votes_dropped_ahead=%llu proposals_buffered=%llu "
-          "proposals_dropped_ahead=%llu\n",
+          "proposals_dropped_ahead=%llu catchup_pulls=%llu\n",
           cfg.id, static_cast<unsigned long long>(cons.equivocations_detected()),
           cons.masked_count(), static_cast<unsigned long long>(cons.vote_sig_rejects()),
           static_cast<unsigned long long>(cons.cert_rejects()),
           static_cast<unsigned long long>(cons.votes_buffered()),
           static_cast<unsigned long long>(cons.votes_dropped_ahead()),
           static_cast<unsigned long long>(cons.proposals_buffered()),
-          static_cast<unsigned long long>(cons.proposals_dropped_ahead()));
+          static_cast<unsigned long long>(cons.proposals_dropped_ahead()),
+          static_cast<unsigned long long>(cons.catchup_pulls()));
       if (store != nullptr) {
         const auto& w = store->wal_counters();
         std::fprintf(
