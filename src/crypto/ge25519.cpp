@@ -131,8 +131,7 @@ const std::array<Cached, 64>& base_odd_table() {
 
 template <std::size_t N>
 Ge add_digit(const Ge& acc, const std::array<Cached, N>& odd, int d, bool with_t) {
-  return d > 0 ? add_cached(acc, odd[static_cast<std::size_t>(d) >> 1], false, with_t)
-               : add_cached(acc, odd[static_cast<std::size_t>(-d) >> 1], true, with_t);
+  return add_cached(acc, odd[static_cast<std::size_t>(d < 0 ? -d : d) >> 1], d < 0, with_t);
 }
 
 }  // namespace
