@@ -22,7 +22,10 @@ F=1
 SEED=42
 HOST=127.0.0.1
 # Randomized base port keeps parallel ctest invocations off each other.
-PORT_BASE=$(( 21000 + RANDOM % 20000 ))
+# Every port (base + at most 403) stays below Linux's default ephemeral
+# range (32768-60999): there, an earlier phase's outgoing socket can hold
+# a port a later phase must listen on.
+PORT_BASE=$(( 20000 + RANDOM % 12000 ))
 LOG_DIR=$(mktemp -d)
 PIDS=()
 

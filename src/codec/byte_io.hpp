@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstring>
+#include <functional>
 #include <optional>
 
 #include "codec/bytes.hpp"
@@ -59,41 +60,71 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Sequential writer building a Bytes buffer.
+/// Sequential writer building a Bytes buffer. A streaming writer (built
+/// with a sink) hands its bytes to the sink, in order, in chunks of about
+/// kStreamChunk instead of keeping them: its buffer never outgrows one
+/// chunk, a run of at least a chunk skips it, and size() counts every
+/// byte written. Call flush() after the last write.
 class Writer {
  public:
+  using Sink = std::function<void(ByteView)>;
+  static constexpr std::size_t kStreamChunk = 64u << 10;
+
+  Writer() = default;
+  explicit Writer(Sink sink) : sink_(std::move(sink)) { out_.reserve(kStreamChunk); }
+
   Bytes take() { return std::move(out_); }
   const Bytes& buffer() const { return out_; }
-  std::size_t size() const { return out_.size(); }
+  std::size_t size() const { return streamed_ + out_.size(); }
+
+  /// Hand the buffered bytes to the sink (a no-op without one).
+  void flush() {
+    if (!sink_ || out_.empty()) return;
+    sink_(out_);
+    streamed_ += out_.size();
+    out_.clear();
+  }
 
   Writer& u8(std::uint8_t v) {
     append_u8(out_, v);
-    return *this;
+    return spill();
   }
   Writer& u32le(std::uint32_t v) {
     append_u32le(out_, v);
-    return *this;
+    return spill();
   }
   Writer& u64le(std::uint64_t v) {
     append_u64le(out_, v);
-    return *this;
+    return spill();
   }
   Writer& varint(std::uint64_t v) {
     put_varint(out_, v);
-    return *this;
+    return spill();
   }
   Writer& bytes(ByteView v) {
+    if (v.size() >= kStreamChunk && sink_) {
+      flush();
+      sink_(v);
+      streamed_ += v.size();
+      return *this;
+    }
     append(out_, v);
-    return *this;
+    return spill();
   }
   Writer& lp_bytes(ByteView v) {
     put_varint(out_, v.size());
-    append(out_, v);
-    return *this;
+    return bytes(v);
   }
 
  private:
+  Writer& spill() {
+    if (out_.size() >= kStreamChunk && sink_) flush();
+    return *this;
+  }
+
   Bytes out_;
+  Sink sink_;
+  std::size_t streamed_ = 0;  ///< bytes already handed to the sink
 };
 
 }  // namespace setchain::codec

@@ -89,6 +89,10 @@ constexpr std::uint8_t kSnapshotBodyVersion = 1;
 /// The ledger-mode byte: 1, the consensus ledger. Data dirs of the retired
 /// sequencer mode (0) are refused, not reinterpreted.
 constexpr std::uint8_t kSnapshotLedgerMode = 1;
+/// Past the epoch floor, a snapshot is cut once the WAL appended since the
+/// last one reaches this many times that snapshot's file size (Redis's AOF
+/// rewrite rule): snapshot bytes then amortize against the log they replace.
+constexpr std::uint64_t kSnapshotWalGrowth = 1;
 
 }  // namespace
 
@@ -211,8 +215,13 @@ void NodeHost::start() {
 void NodeHost::storage_tick() {
   // Snapshot only a block-consistent cut: the server has applied every
   // committed block, so (ledger state, server state) at this height is
-  // exactly what a peer replaying those blocks would compute.
+  // exactly what a peer replaying those blocks would compute. The epoch
+  // cadence is a floor; past it, a cut waits until the log written since
+  // the last snapshot is as large as that snapshot, so the snapshot bytes
+  // stay within the WAL bytes plus one snapshot, not one history per tick.
   if (server_->epoch() >= last_snapshot_epoch_ + cfg_.snapshot_epochs &&
+      storage_->wal_bytes_since_snapshot() >=
+          kSnapshotWalGrowth * storage_->last_snapshot_bytes() &&
       server_->applied_height() == ledger_.height() &&
       ledger_.height() > storage_->last_snapshot_height()) {
     write_snapshot_now();
@@ -221,19 +230,30 @@ void NodeHost::storage_tick() {
 }
 
 void NodeHost::write_snapshot_now() {
-  codec::Writer body;
-  body.u8(kSnapshotBodyVersion)
-      .u8(static_cast<std::uint8_t>(cfg_.algorithm))
-      .u8(kSnapshotLedgerMode);
-  codec::Writer lw;
-  ledger_.serialize_state(lw);
-  body.lp_bytes(lw.buffer());
-  codec::Writer sw;
-  server_->serialize_state(sw);
-  body.lp_bytes(sw.buffer());
-  if (storage_->write_snapshot(ledger_.height(), body.buffer())) {
-    last_snapshot_epoch_ = server_->epoch();
-  }
+  // Two passes over the same state, with nothing between them on this
+  // thread. A counting pass keeps no bytes and yields the two section
+  // lengths; then the body streams through one chunk-sized buffer into the
+  // file. The bytes are those of the buffered lp_bytes encoding.
+  codec::Writer counter([](codec::ByteView) {});
+  ledger_.serialize_state(counter);
+  const std::uint64_t ledger_len = counter.size();
+  server_->serialize_state(counter);
+  const std::uint64_t server_len = counter.size() - ledger_len;
+  const std::uint64_t body_len = 3 + codec::varint_size(ledger_len) + ledger_len +
+                                 codec::varint_size(server_len) + server_len;
+  const bool written = storage_->write_snapshot(
+      ledger_.height(), body_len, [&](const codec::Writer::Sink& emit) {
+        codec::Writer body(emit);
+        body.u8(kSnapshotBodyVersion)
+            .u8(static_cast<std::uint8_t>(cfg_.algorithm))
+            .u8(kSnapshotLedgerMode)
+            .varint(ledger_len);
+        ledger_.serialize_state(body);
+        body.varint(server_len);
+        server_->serialize_state(body);
+        body.flush();
+      });
+  if (written) last_snapshot_epoch_ = server_->epoch();
 }
 
 void NodeHost::on_frame(EndpointId from, wire::Frame&& frame) {

@@ -39,12 +39,14 @@ struct NodeHostConfig {
   /// Retransmit base: own submissions and consensus state.
   sim::Time retry_interval = sim::from_millis(400);
 
-  /// Epoch-snapshot compaction cadence: once the node's epoch has advanced
-  /// this far past the last snapshot (and applied height == ledger height,
-  /// so the materialized state is block-consistent), serialize the state
-  /// into a snapshot and prune covered WAL segments. 0 disables compaction
-  /// (the WAL grows without bound — fine for tests and short runs). Only
-  /// meaningful when a Storage is attached.
+  /// Epoch-snapshot compaction floor: a snapshot is cut once the node's
+  /// epoch has advanced this far past the last snapshot AND the WAL
+  /// appended since then is at least that snapshot's file size (and applied
+  /// height == ledger height, so the materialized state is
+  /// block-consistent); it streams the state into a snapshot and prunes
+  /// covered WAL segments. 0 disables compaction (the WAL grows without
+  /// bound — fine for tests and short runs). Only meaningful when a Storage
+  /// is attached.
   std::uint64_t snapshot_epochs = 0;
   // A node's own ledger is always honest: the Byzantine tests and
   // `setchain_node --byz-consensus` wrap its transport in a
@@ -112,6 +114,11 @@ class NodeHost final : public core::IBatchExchange {
   std::uint64_t rpcs_served() const { return rpcs_served_; }
   std::uint64_t bad_frames() const { return bad_frames_; }
 
+  /// Stream the current ledger + server state into a snapshot at the
+  /// ledger height, whatever the cut rule says (storage_tick calls it when
+  /// the rule holds). Requires an attached Storage.
+  void write_snapshot_now();
+
   /// Recovery counters from the attached Storage (nullptr when in-memory).
   const storage::RecoveryStats* recovery() const {
     return storage_ != nullptr ? &storage_->recovery() : nullptr;
@@ -132,9 +139,8 @@ class NodeHost final : public core::IBatchExchange {
   /// Point the ledger commit hook and the Hashchain batch store at the WAL.
   /// Installed at the END of recovery so replayed records are not re-logged.
   void install_durability_hooks();
-  /// Periodic check of the epoch-snapshot cadence (rides sync_interval).
+  /// Periodic check of the snapshot cut rule (rides sync_interval).
   void storage_tick();
-  void write_snapshot_now();
 
   NodeHostConfig cfg_;
   sim::Simulation& sim_;

@@ -63,6 +63,22 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
   return true;
 }
 
+/// Read up to `len` bytes, stopping early only at end of file. The count
+/// read, or -1 on error.
+ssize_t read_full(int fd, std::uint8_t* data, std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    ssize_t n = ::read(fd, data + done, len - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (n == 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  return static_cast<ssize_t>(done);
+}
+
 void fsync_dir(const std::string& dir) {
   int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd >= 0) {
@@ -78,15 +94,15 @@ void set_diag(std::string* diagnostic, std::string msg) {
 }  // namespace
 
 bool write_snapshot_file(const std::string& dir, std::uint64_t height,
-                         codec::ByteView body, std::string* diagnostic) {
+                         std::uint64_t body_len, const SnapshotBodyFn& produce,
+                         std::string* diagnostic) {
   std::uint8_t header[kSnapshotHeaderBytes];
   put_u32le(header, kSnapshotMagic);
   header[4] = kSnapshotVersion;
   put_u64le(header + 5, height);
-  put_u64le(header + 13, static_cast<std::uint64_t>(body.size()));
+  put_u64le(header + 13, body_len);
+  put_u32le(header + 21, 0);  // patched below, once the body has gone out
   std::uint32_t crc = crc32c(codec::ByteView(header + 4, 17));
-  crc = crc32c(body, crc);
-  put_u32le(header + 21, crc);
 
   std::string final_path = snapshot_path(dir, height);
   std::string tmp_path = final_path + ".tmp";
@@ -95,11 +111,31 @@ bool write_snapshot_file(const std::string& dir, std::uint64_t height,
     set_diag(diagnostic, "cannot create " + tmp_path + ": " + std::strerror(errno));
     return false;
   }
-  bool ok = write_all(fd, header, kSnapshotHeaderBytes) &&
-            write_all(fd, body.data(), body.size()) && ::fsync(fd) == 0;
+  bool ok = write_all(fd, header, kSnapshotHeaderBytes);
+  int write_errno = ok ? 0 : errno;  // produce() may run on after a failure
+  std::uint64_t streamed = 0;
+  produce([&](codec::ByteView chunk) {
+    streamed += chunk.size();
+    if (!ok) return;
+    crc = crc32c(chunk, crc);
+    ok = write_all(fd, chunk.data(), chunk.size());
+    if (!ok) write_errno = errno;
+  });
+  std::string why;
+  if (!ok) {
+    why = "write failed on " + tmp_path + ": " + std::strerror(write_errno);
+  } else if (streamed != body_len) {
+    ok = false;
+    why = tmp_path + ": body was " + std::to_string(streamed) + " bytes, header says " +
+          std::to_string(body_len);
+  } else {
+    put_u32le(header + 21, crc);
+    ok = ::pwrite(fd, header + 21, 4, 21) == 4 && ::fsync(fd) == 0;
+    if (!ok) why = "write failed on " + tmp_path + ": " + std::strerror(errno);
+  }
   ::close(fd);
   if (!ok) {
-    set_diag(diagnostic, "write failed on " + tmp_path + ": " + std::strerror(errno));
+    set_diag(diagnostic, std::move(why));
     ::unlink(tmp_path.c_str());
     return false;
   }
@@ -112,6 +148,13 @@ bool write_snapshot_file(const std::string& dir, std::uint64_t height,
   return true;
 }
 
+bool write_snapshot_file(const std::string& dir, std::uint64_t height,
+                         codec::ByteView body, std::string* diagnostic) {
+  return write_snapshot_file(
+      dir, height, body.size(),
+      [body](const std::function<void(codec::ByteView)>& emit) { emit(body); }, diagnostic);
+}
+
 bool load_snapshot_file(const std::string& path, std::uint64_t* height,
                         codec::Bytes* body, std::string* diagnostic) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -119,51 +162,53 @@ bool load_snapshot_file(const std::string& path, std::uint64_t* height,
     set_diag(diagnostic, "cannot open " + path + ": " + std::strerror(errno));
     return false;
   }
-  codec::Bytes data;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      set_diag(diagnostic, "read failed on " + path + ": " + std::strerror(errno));
-      return false;
-    }
-    if (n == 0) break;
-    data.insert(data.end(), buf, buf + n);
-  }
-  ::close(fd);
-
-  if (data.size() < kSnapshotHeaderBytes) {
-    set_diag(diagnostic, path + ": shorter than a snapshot header");
+  // The header first; its body length is checked against the file size
+  // before the body buffer is sized, once, and read straight into.
+  const auto fail = [&](std::string why) {
+    ::close(fd);
+    set_diag(diagnostic, std::move(why));
     return false;
+  };
+  std::uint8_t h[kSnapshotHeaderBytes];
+  struct stat st{};
+  const ssize_t got = read_full(fd, h, kSnapshotHeaderBytes);
+  if (got < 0 || ::fstat(fd, &st) != 0) {
+    return fail("read failed on " + path + ": " + std::strerror(errno));
   }
-  const std::uint8_t* h = data.data();
+  if (static_cast<std::size_t>(got) < kSnapshotHeaderBytes) {
+    return fail(path + ": shorter than a snapshot header");
+  }
   if (codec::read_u32le(codec::ByteView(h, 4)) != kSnapshotMagic) {
-    set_diag(diagnostic, path + ": bad magic");
-    return false;
+    return fail(path + ": bad magic");
   }
   if (h[4] != kSnapshotVersion) {
-    set_diag(diagnostic, path + ": unsupported version " + std::to_string(h[4]));
-    return false;
+    return fail(path + ": unsupported version " + std::to_string(h[4]));
   }
   std::uint64_t file_height = codec::read_u64le(codec::ByteView(h + 5, 8));
   std::uint64_t body_len = codec::read_u64le(codec::ByteView(h + 13, 8));
   std::uint32_t crc = codec::read_u32le(codec::ByteView(h + 21, 4));
-  if (data.size() - kSnapshotHeaderBytes != body_len) {
-    set_diag(diagnostic, path + ": body length mismatch (header says " +
-                             std::to_string(body_len) + ", file has " +
-                             std::to_string(data.size() - kSnapshotHeaderBytes) + ")");
-    return false;
+  const std::uint64_t file_body = static_cast<std::uint64_t>(st.st_size) - kSnapshotHeaderBytes;
+  if (file_body != body_len) {
+    return fail(path + ": body length mismatch (header says " + std::to_string(body_len) +
+                ", file has " + std::to_string(file_body) + ")");
   }
+  codec::Bytes data(body_len);
+  const ssize_t read_body = read_full(fd, data.data(), data.size());
+  if (read_body < 0) return fail("read failed on " + path + ": " + std::strerror(errno));
+  if (static_cast<std::uint64_t>(read_body) != body_len) {
+    return fail(path + ": body length mismatch (header says " + std::to_string(body_len) +
+                ", file has " + std::to_string(read_body) + ")");
+  }
+  ::close(fd);
+
   std::uint32_t want = crc32c(codec::ByteView(h + 4, 17));
-  want = crc32c(codec::ByteView(h + kSnapshotHeaderBytes, body_len), want);
+  want = crc32c(data, want);
   if (want != crc) {
     set_diag(diagnostic, path + ": CRC mismatch");
     return false;
   }
   if (height != nullptr) *height = file_height;
-  if (body != nullptr) body->assign(data.begin() + kSnapshotHeaderBytes, data.end());
+  if (body != nullptr) *body = std::move(data);
   return true;
 }
 
@@ -194,13 +239,20 @@ std::optional<LoadedSnapshot> load_latest_snapshot(const std::string& dir) {
   return std::nullopt;
 }
 
-std::size_t prune_snapshots(const std::string& dir, std::size_t keep) {
+std::size_t prune_snapshots(const std::string& dir, std::size_t keep,
+                            std::uint64_t* oldest_kept) {
   auto snaps = list_snapshots(dir);
   std::size_t removed = 0;
-  for (std::size_t i = keep; i < snaps.size(); ++i) {
-    if (::unlink(snaps[i].second.c_str()) == 0) ++removed;
+  std::uint64_t oldest = 0;
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    if (i >= keep && ::unlink(snaps[i].second.c_str()) == 0) {
+      ++removed;
+    } else {
+      oldest = snaps[i].first;  // newest first: the last one left is the oldest
+    }
   }
   if (removed > 0) fsync_dir(dir);
+  if (oldest_kept != nullptr) *oldest_kept = oldest;
   return removed;
 }
 

@@ -67,6 +67,7 @@ std::optional<codec::Bytes> Storage::load_snapshot() {
   recovery_.snapshot_height = snap->height;
   recovery_.snapshot_fallbacks = snap->fallbacks;
   last_snapshot_height_ = snap->height;
+  last_snapshot_bytes_ = kSnapshotHeaderBytes + snap->body.size();
   if (!snap->diagnostic.empty()) {
     if (!recovery_.diagnostic.empty()) recovery_.diagnostic += "; ";
     recovery_.diagnostic += snap->diagnostic;
@@ -104,21 +105,29 @@ bool Storage::replay(const std::function<void(WalRecordKind, std::uint64_t,
   return clean;
 }
 
-bool Storage::write_snapshot(std::uint64_t height, codec::ByteView body) {
+bool Storage::write_snapshot(std::uint64_t height, std::uint64_t body_len,
+                             const SnapshotBodyFn& produce) {
   // The WAL must be on disk up to this height before the snapshot claims to
   // cover it — otherwise a crash right after the prune below could lose the
   // gap between the snapshot and an unsynced tail.
   wal_.sync();
   std::string diag;
-  if (!write_snapshot_file(cfg_.dir, height, body, &diag)) return false;
+  if (!write_snapshot_file(cfg_.dir, height, body_len, produce, &diag)) return false;
   ++snapshots_written_;
   last_snapshot_height_ = height;
-  prune_snapshots(cfg_.dir, cfg_.snapshots_kept);
-  auto retained = list_snapshots(cfg_.dir);
-  if (!retained.empty()) {
-    wal_.prune_covered(retained.back().first);  // oldest retained snapshot
-  }
+  last_snapshot_bytes_ = kSnapshotHeaderBytes + body_len;
+  snapshot_bytes_written_ += last_snapshot_bytes_;
+  wal_bytes_at_snapshot_ = wal_.counters().bytes_appended;
+  std::uint64_t oldest_kept = 0;
+  prune_snapshots(cfg_.dir, cfg_.snapshots_kept, &oldest_kept);
+  if (oldest_kept != 0) wal_.prune_covered(oldest_kept);
   return true;
+}
+
+bool Storage::write_snapshot(std::uint64_t height, codec::ByteView body) {
+  return write_snapshot(
+      height, body.size(),
+      [body](const std::function<void(codec::ByteView)>& emit) { emit(body); });
 }
 
 }  // namespace setchain::storage

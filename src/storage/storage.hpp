@@ -70,9 +70,13 @@ class Storage {
     return wal_.append(WalRecordKind::kBatch, height, payload);
   }
 
-  /// Durably write a snapshot at `height`, prune old snapshots down to
-  /// snapshots_kept, and drop WAL segments covered by the oldest retained
-  /// snapshot. False + untouched WAL on failure.
+  /// Durably write a snapshot at `height` whose `body_len`-byte body
+  /// `produce` streams to the file (write_snapshot_file), prune old
+  /// snapshots down to snapshots_kept, and drop WAL segments covered by the
+  /// oldest retained snapshot. False + untouched WAL on failure.
+  bool write_snapshot(std::uint64_t height, std::uint64_t body_len,
+                      const SnapshotBodyFn& produce);
+  /// The same for a body already in memory.
   bool write_snapshot(std::uint64_t height, codec::ByteView body);
 
   /// fdatasync the active WAL segment (shutdown barrier).
@@ -83,7 +87,16 @@ class Storage {
   std::uint64_t wal_last_height() const { return wal_.last_height(); }
   std::size_t wal_segment_count() const { return wal_.segment_count(); }
   std::uint64_t snapshots_written() const { return snapshots_written_; }
+  /// Snapshot file bytes (header + body) this Storage has written.
+  std::uint64_t snapshot_bytes_written() const { return snapshot_bytes_written_; }
   std::uint64_t last_snapshot_height() const { return last_snapshot_height_; }
+  /// File size of the newest snapshot written or loaded (0 when none).
+  std::uint64_t last_snapshot_bytes() const { return last_snapshot_bytes_; }
+  /// WAL bytes appended since that snapshot (since open when none was
+  /// written in this process).
+  std::uint64_t wal_bytes_since_snapshot() const {
+    return wal_.counters().bytes_appended - wal_bytes_at_snapshot_;
+  }
   const std::string& dir() const { return cfg_.dir; }
 
  private:
@@ -93,7 +106,10 @@ class Storage {
   Wal wal_;
   RecoveryStats recovery_;
   std::uint64_t snapshots_written_ = 0;
+  std::uint64_t snapshot_bytes_written_ = 0;
   std::uint64_t last_snapshot_height_ = 0;
+  std::uint64_t last_snapshot_bytes_ = 0;
+  std::uint64_t wal_bytes_at_snapshot_ = 0;  ///< WAL bytes_appended at that cut
 };
 
 }  // namespace setchain::storage

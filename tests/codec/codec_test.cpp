@@ -167,6 +167,54 @@ TEST(ByteIo, UnderflowReturnsNullopt) {
   EXPECT_TRUE(r.u8().has_value());
 }
 
+TEST(ByteIo, StreamingWriterEmitsTheBufferedBytesInBoundedChunks) {
+  // The same random mix of fields, small runs and runs of a chunk or more,
+  // written once into a buffer and once through a sink: the sink sees the
+  // buffered bytes, in order, and the writer never holds a full chunk
+  // between writes.
+  sim::Rng rng(77);
+  Writer buffered;
+  Bytes streamed;
+  std::size_t chunks = 0;
+  Writer stream([&](ByteView chunk) {
+    ++chunks;
+    streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+  });
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t v = rng.next_u64();
+    switch (rng.uniform_u64(5)) {
+      case 0:
+        buffered.u8(static_cast<std::uint8_t>(v));
+        stream.u8(static_cast<std::uint8_t>(v));
+        break;
+      case 1:
+        buffered.u64le(v);
+        stream.u64le(v);
+        break;
+      case 2: {
+        const std::uint64_t x = v >> rng.uniform_u64(64);
+        buffered.varint(x);
+        stream.varint(x);
+        break;
+      }
+      default: {
+        const std::size_t n =
+            rng.uniform_u64(50) == 0
+                ? Writer::kStreamChunk + rng.uniform_u64(3 * Writer::kStreamChunk)
+                : rng.uniform_u64(200);
+        Bytes run(n, static_cast<std::uint8_t>(v));
+        buffered.lp_bytes(run);
+        stream.lp_bytes(run);
+      }
+    }
+    ASSERT_LT(stream.size() - streamed.size(), Writer::kStreamChunk);
+  }
+  stream.flush();
+  EXPECT_EQ(stream.size(), buffered.size());
+  EXPECT_TRUE(streamed == buffered.buffer());
+  EXPECT_GT(chunks, 1u);
+}
+
 TEST(ByteIo, LpBytesWithLyingLengthFails) {
   Writer w;
   w.varint(100);  // claims 100 bytes follow

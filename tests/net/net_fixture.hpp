@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "net/loopback.hpp"
 #include "net/node_host.hpp"
 #include "net/remote_node.hpp"
+#include "storage/storage.hpp"
 
 namespace setchain::net::testing {
 
@@ -192,6 +194,7 @@ struct LoopbackCluster {
   sim::Simulation sim;
   LoopbackHub hub;
   std::vector<std::unique_ptr<ITransport>> wrappers;  ///< outlive the hosts
+  std::vector<std::unique_ptr<storage::Storage>> stores;  ///< start_durable only
   std::vector<std::unique_ptr<NodeHost>> hosts;
   crypto::Pki pki;  ///< client-side PKI (same seed -> same keys as daemons)
 
@@ -234,6 +237,26 @@ struct LoopbackCluster {
       hosts.push_back(std::make_unique<NodeHost>(c, sim, t));
       hosts.back()->start();
     }
+  }
+
+  /// Boot every node durable: node i logs to `root`/node<i> (no fsync) and
+  /// recovers from it before it starts. False, with `err`, when a store
+  /// fails to open or to recover.
+  bool start_durable(const std::string& root, std::string* err) {
+    for (std::uint32_t i = 0; i < cfg.n; ++i) {
+      storage::StorageConfig sc;
+      sc.dir = root + "/node" + std::to_string(i);
+      sc.fsync = storage::FsyncMode::kOff;
+      stores.push_back(storage::Storage::open(sc, err));
+      if (stores.back() == nullptr) return false;
+      NodeHostConfig c = cfg;
+      c.id = i;
+      hosts.push_back(
+          std::make_unique<NodeHost>(c, sim, hub.transport(i), stores.back().get()));
+      if (!hosts.back()->recover(err)) return false;
+      hosts.back()->start();
+    }
+    return true;
   }
 
   api::QuorumClient client(std::vector<std::unique_ptr<RemoteNode>>& stubs) {

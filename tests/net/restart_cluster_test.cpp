@@ -9,15 +9,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "api/quorum_client.hpp"
+#include "codec/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "net/committed_chain.hpp"
 #include "net/loopback.hpp"
 #include "net/remote_node.hpp"
 #include "net/tcp.hpp"
 #include "net_fixture.hpp"
 #include "storage/storage.hpp"
+#include "storage/wal.hpp"
 
 namespace setchain::net {
 namespace {
@@ -632,6 +638,24 @@ std::vector<ledger::Transaction> payload_txs(codec::ByteView payload) {
   return prop ? std::move(prop->block.txs) : std::vector<ledger::Transaction>{};
 }
 
+/// Every node holds the same non-empty chain with every agreed epoch
+/// f+1-proved on it.
+bool chain_settled(const std::vector<std::unique_ptr<NodeHost>>& hosts,
+                   std::vector<std::unique_ptr<RemoteNode>>& stubs,
+                   api::QuorumClient& client, std::uint32_t f) {
+  const auto view = client.get();
+  if (view.epoch == 0) return false;
+  for (auto& stub : stubs) {
+    for (std::uint64_t e = 1; e <= view.epoch; ++e) {
+      if (stub->proofs_for_epoch(e).size() < f + 1) return false;
+    }
+  }
+  for (const auto& h : hosts) {
+    if (h->ledger().height() != hosts[0]->ledger().height()) return false;
+  }
+  return true;
+}
+
 TEST(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   const NodeHostConfig cfg =
       DurableCluster::make_config(runner::Algorithm::kVanilla, /*snapshot_epochs=*/0);
@@ -694,19 +718,7 @@ TEST(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   // Run until every node holds the same non-empty chain with every epoch
   // f+1-proved on it, then let the cluster go quiet.
   const sim::Time deadline = sim.now() + sim::from_seconds(120);
-  const auto settled = [&] {
-    const auto view = client.get();
-    if (view.epoch == 0) return false;
-    for (auto& stub : stubs) {
-      for (std::uint64_t e = 1; e <= view.epoch; ++e) {
-        if (stub->proofs_for_epoch(e).size() < cfg.f + 1) return false;
-      }
-    }
-    for (const auto& h : hosts) {
-      if (h->ledger().height() != hosts[0]->ledger().height()) return false;
-    }
-    return true;
-  };
+  const auto settled = [&] { return chain_settled(hosts, stubs, client, cfg.f); };
   while (sim.now() < deadline && !settled()) {
     sim.run_until(sim.now() + sim::from_millis(250));
   }
@@ -787,6 +799,179 @@ TEST(LedgerFormatPin, StateBlobAndWalBlockRecordsMatchTheDocumentedLayout) {
   }
   const std::string cmd = "rm -rf '" + root + "'";
   (void)std::system(cmd.c_str());
+}
+
+codec::Bytes read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return codec::Bytes(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+/// A fresh directory under /tmp, removed with its contents at scope exit.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/setchain_snap_XXXXXX";
+    path = ::mkdtemp(tmpl);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+/// The snapshot file the buffered writer produced for a node's current
+/// state: both sections serialized into memory, framed into one body, then
+/// the header (docs/STORAGE_FORMAT.md) and that body.
+codec::Bytes buffered_snapshot_file(const NodeHost& host) {
+  codec::Writer lw;
+  host.ledger().serialize_state(lw);
+  codec::Writer sw;
+  host.server().serialize_state(sw);
+  codec::Writer body;
+  body.u8(1)
+      .u8(static_cast<std::uint8_t>(host.config().algorithm))
+      .u8(1)
+      .lp_bytes(lw.buffer())
+      .lp_bytes(sw.buffer());
+  codec::Writer file;
+  file.u32le(storage::kSnapshotMagic)
+      .u8(storage::kSnapshotVersion)
+      .u64le(host.ledger().height())
+      .u64le(body.size());
+  std::uint32_t crc = storage::crc32c(codec::ByteView(file.buffer()).subspan(4));
+  crc = storage::crc32c(body.buffer(), crc);
+  file.u32le(crc).bytes(body.buffer());
+  return file.take();
+}
+
+// Byte pin of the snapshot write path. A settled deterministic cluster cuts
+// a snapshot on node 0. Its SHA-256 is pinned to the file the buffered
+// writer produced for this run, and the file must equal the buffered
+// encoding of the node's state. A fresh NodeHost then recovers from that
+// file alone and cuts again, and the streamed file must again equal the
+// buffered encoding of the restored state. (It need not equal the original
+// file: restore rebuilds the hash sets in another iteration order.)
+struct SnapshotPinCase {
+  runner::Algorithm algo;
+  const char* sha256;
+};
+
+class SnapshotFormatPin : public ::testing::TestWithParam<SnapshotPinCase> {};
+
+TEST_P(SnapshotFormatPin, StreamedSnapshotKeepsTheBufferedBytes) {
+  const SnapshotPinCase pin = GetParam();
+  TempDir root;
+  codec::Bytes original;
+  std::string name;
+  {
+    LoopbackCluster cl(pin.algo);
+    std::string err;
+    ASSERT_TRUE(cl.start_durable(root.path, &err)) << err;
+    std::vector<std::unique_ptr<RemoteNode>> stubs;
+    api::QuorumClient client = cl.client(stubs);
+    // Enough elements that the hashchain body spans several stream chunks.
+    for (const auto& e : make_workload(cl.cfg, 96, cl.pki)) {
+      ASSERT_TRUE(client.add(e).ok) << "add refused for " << e.id;
+    }
+    const auto settled = [&] { return chain_settled(cl.hosts, stubs, client, cl.cfg.f); };
+    ASSERT_TRUE(cl.pump_until(settled)) << "cluster never settled";
+    cl.pump_seconds(2);
+    ASSERT_TRUE(settled());
+    cl.hosts[0]->write_snapshot_now();
+    const auto snaps = storage::list_snapshots(cl.stores[0]->dir());
+    ASSERT_EQ(snaps.size(), 1u);
+    EXPECT_EQ(snaps[0].first, cl.hosts[0]->ledger().height());
+    name = snaps[0].second.substr(snaps[0].second.rfind('/'));
+    original = read_file(snaps[0].second);
+    EXPECT_TRUE(original == buffered_snapshot_file(*cl.hosts[0]));
+  }
+  const auto digest = crypto::Sha256::hash(original);
+  EXPECT_EQ(codec::to_hex(codec::ByteView(digest.data(), digest.size())), pin.sha256)
+      << original.size() << "-byte snapshot";
+
+  TempDir dir;
+  std::ofstream(dir.path + name, std::ios::binary)
+      .write(reinterpret_cast<const char*>(original.data()),
+             static_cast<std::streamsize>(original.size()));
+  storage::StorageConfig sc;
+  sc.dir = dir.path;
+  sc.fsync = storage::FsyncMode::kOff;
+  std::string err;
+  auto store = storage::Storage::open(sc, &err);
+  ASSERT_NE(store, nullptr) << err;
+  const NodeHostConfig cfg = LoopbackCluster::make_config(pin.algo, 42, 4);
+  sim::Simulation sim;
+  LoopbackHub hub(sim, cfg.n);
+  NodeHost host(cfg, sim, hub.transport(0), store.get());
+  ASSERT_TRUE(host.recover(&err)) << err;
+  ASSERT_TRUE(store->recovery().snapshot_loaded);
+  host.write_snapshot_now();
+  const codec::Bytes again = read_file(dir.path + name);
+  EXPECT_EQ(again.size(), original.size());
+  EXPECT_TRUE(again == buffered_snapshot_file(host));
+  EXPECT_EQ(store->snapshot_bytes_written(), again.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, SnapshotFormatPin,
+    ::testing::Values(SnapshotPinCase{
+                          runner::Algorithm::kHashchain,
+                          "bb16aa31d56d99e4374581b41650edb3192b7132c0ee5fa95e484dddf009133f"},
+                      SnapshotPinCase{
+                          runner::Algorithm::kVanilla,
+                          "bc675e3bbda1b789d9896fcce4ab26e9966ae6c9d552ef6ec0e7afced4bb5727"}),
+    [](const auto& info) {
+      return std::string(runner::algorithm_name(info.param.algo));
+    });
+
+// Snapshots amortize against the log they replace. At a 1-epoch floor a
+// durable hashchain cluster runs a fixed number of epochs; past the first
+// cut, a snapshot waits until the WAL written since the previous one is at
+// least that snapshot's size. So on every node the snapshot bytes written
+// stay within the WAL bytes appended plus the largest snapshot, instead of
+// one full history per epoch.
+TEST(SnapshotAmortization, SnapshotBytesStayWithinTheWalPlusOneSnapshot) {
+  TempDir root;
+  LoopbackCluster cl(runner::Algorithm::kHashchain);
+  cl.cfg.snapshot_epochs = 1;
+  std::string err;
+  ASSERT_TRUE(cl.start_durable(root.path, &err)) << err;
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  constexpr std::uint64_t kEpochs = 12;
+  const auto elements = make_workload(cl.cfg, 6 * kEpochs, cl.pki);
+  std::vector<std::uint64_t> largest(cl.cfg.n, 0);
+  // Runs every virtual 250 ms: a node keeps two snapshots and cuts at
+  // most one per sync tick, so no snapshot is missed.
+  const auto track_largest = [&] {
+    for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
+      largest[i] = std::max(largest[i], cl.stores[i]->last_snapshot_bytes());
+    }
+  };
+  for (std::uint64_t round = 0; round < kEpochs; ++round) {
+    for (std::size_t k = 6 * round; k < 6 * (round + 1); ++k) {
+      ASSERT_TRUE(client.add(elements[k]).ok) << "add refused for " << elements[k].id;
+    }
+    ASSERT_TRUE(cl.pump_until([&] {
+      track_largest();
+      for (const auto& h : cl.hosts) {
+        if (h->server().epoch() <= round) return false;
+      }
+      return true;
+    })) << "epoch " << round + 1 << " never closed";
+  }
+  ASSERT_TRUE(cl.pump_until([&] {
+    track_largest();
+    return chain_settled(cl.hosts, stubs, client, cl.cfg.f);
+  }));
+  cl.pump_seconds(2);
+  track_largest();
+
+  for (std::uint32_t i = 0; i < cl.cfg.n; ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const storage::Storage& st = *cl.stores[i];
+    EXPECT_GE(cl.hosts[i]->server().epoch(), kEpochs);
+    EXPECT_GE(st.snapshots_written(), 1u);
+    EXPECT_LE(st.snapshot_bytes_written(), st.wal_counters().bytes_appended + largest[i])
+        << st.snapshots_written() << " snapshots, largest " << largest[i] << " bytes";
+  }
 }
 
 }  // namespace

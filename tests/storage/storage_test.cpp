@@ -7,9 +7,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -275,6 +278,39 @@ TEST(Snapshot, WriteLoadListPrune) {
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].first, 40u);
   EXPECT_EQ(kept[1].first, 25u);
+}
+
+TEST(Snapshot, StreamedBodyMatchesOneSegmentAndItsDeclaredLength) {
+  // A body emitted in uneven chunks lands as the same file as the same body
+  // written in one segment. A producer that emits other than the declared
+  // length fails and leaves no file behind.
+  TempDir one, chunked;
+  std::string diag;
+  codec::Bytes body(200'000);
+  for (std::size_t i = 0; i < body.size(); ++i) body[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  const auto in_chunks = [&body](const std::function<void(codec::ByteView)>& emit) {
+    for (std::size_t off = 0, step = 1; off < body.size(); off += step, step = step * 3 + 1) {
+      emit(codec::ByteView(body).subspan(off, std::min(step, body.size() - off)));
+    }
+  };
+  ASSERT_TRUE(write_snapshot_file(one.path, 7, body, &diag)) << diag;
+  ASSERT_TRUE(write_snapshot_file(chunked.path, 7, body.size(), in_chunks, &diag)) << diag;
+  const auto read = [](const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    return codec::Bytes(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  };
+  const std::string name = "/snap-0000000000000007.snap";
+  EXPECT_EQ(read(chunked.path + name), read(one.path + name));
+
+  for (const std::uint64_t declared : {body.size() - 1, body.size() + 1}) {
+    diag.clear();
+    EXPECT_FALSE(write_snapshot_file(chunked.path, 8, declared, in_chunks, &diag));
+    EXPECT_NE(diag.find("header says"), std::string::npos) << diag;
+    EXPECT_NE(::access((chunked.path + "/snap-0000000000000008.snap.tmp").c_str(), F_OK), 0);
+    const auto listed = list_snapshots(chunked.path);
+    ASSERT_EQ(listed.size(), 1u);
+    EXPECT_EQ(listed[0].first, 7u);
+  }
 }
 
 TEST(Snapshot, FallsBackPastDamagedNewest) {

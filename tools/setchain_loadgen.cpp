@@ -182,13 +182,14 @@ int main(int argc, char** argv) {
   }
 
   // Pre-generate (and pre-sign) the element supply outside the measured
-  // window, sized to the offered schedule plus slack.
+  // window, sized to the offered schedule plus slack. The cap still covers
+  // a 5-minute phase schedule at 1500 el/s (scripts/durable_soak.sh).
   double offered_total = 0;
   for (const double r : opt.rates) {
     offered_total += (r > 0 ? r : 20'000.0) * opt.duration_s;
   }
   const std::size_t budget = std::min<std::size_t>(
-      400'000, static_cast<std::size_t>(offered_total * 1.3) + 1024);
+      600'000, static_cast<std::size_t>(offered_total * 1.3) + 1024);
 
   std::vector<core::Element> kv_pool;
   workload::rollup::TxPool tx_pool;
@@ -252,6 +253,15 @@ int main(int argc, char** argv) {
     ac.rate = rate;
     ac.seed = opt.seed + phases.size();
     phases.push_back(fleet.run_phase(source, ac, opt.duration_s));
+    // One progress line per phase, as it ends (the JSON report comes last).
+    const load::PhaseStats& ph = phases.back();
+    std::fprintf(stderr,
+                 "setchain_loadgen phase %zu: offered=%llu acked=%llu "
+                 "ack_p50_ms=%.1f ack_p99_ms=%.1f\n",
+                 phases.size() - 1, static_cast<unsigned long long>(ph.offered),
+                 static_cast<unsigned long long>(ph.acked),
+                 static_cast<double>(ph.latency_us.percentile(0.50)) / 1000.0,
+                 static_cast<double>(ph.latency_us.percentile(0.99)) / 1000.0);
   }
   const load::ProcSample proc = load::sample_proc();
 

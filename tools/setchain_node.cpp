@@ -43,8 +43,10 @@ void usage(const char* argv0) {
       "are ordered by wire-level consensus: the cluster keeps committing\n"
       "with any f nodes crashed.\n"
       "--data-dir makes the node durable: committed blocks are WAL-logged\n"
-      "there, snapshots compact the log every E epochs (default 8), and a\n"
-      "restart recovers the node's state from disk before it rejoins.\n"
+      "there, and a restart recovers the node's state from disk before it\n"
+      "rejoins. A snapshot compacts the log once at least E epochs\n"
+      "(default 8; 0 = never) have passed since the last one and the log\n"
+      "written since is at least as large as that snapshot.\n"
       "--byz-consensus (TEST ONLY) wraps this node's TCP transport in the\n"
       "Byzantine adversary: its honest ledger's outbound frames are\n"
       "rewritten into equivocating proposals, double votes, forged votes\n"
@@ -251,11 +253,13 @@ int main(int argc, char** argv) {
         std::fprintf(
             stderr,
             "setchain_node[%u] storage: wal(records=%llu bytes=%llu "
-            "fsyncs=%llu segments=%zu) snapshots(written=%llu last_height=%llu)\n",
+            "fsyncs=%llu segments=%zu) snapshots(written=%llu bytes=%llu "
+            "last_height=%llu)\n",
             cfg.id, static_cast<unsigned long long>(w.records_appended),
             static_cast<unsigned long long>(w.bytes_appended),
             static_cast<unsigned long long>(w.fsyncs), store->wal_segment_count(),
             static_cast<unsigned long long>(store->snapshots_written()),
+            static_cast<unsigned long long>(store->snapshot_bytes_written()),
             static_cast<unsigned long long>(store->last_snapshot_height()));
       }
     }
